@@ -22,13 +22,12 @@ from . import _rng
 from .errors import SpecError
 from .estimation import (
     RateLaw,
-    _golden_min,
+    _balance,
     brownian_sup_prob,
-    debruijn_constant,
     mc_smallball,
     rate_fit,
 )
-from .norms import Lp, beta_p
+from .norms import Lp, _regularity_gap
 from .processes import (
     BrownianMotion,
     FracIntegrated,
@@ -98,13 +97,9 @@ def derivative_spectrum(target, m: float):
     match (analytic for a Brownian base), otherwise the difference-quotient
     kernel, which needs m = 1.
     """
-    if isinstance(target, Integrated) and target.m == m:
-        base = target.base
-        if isinstance(base, BrownianMotion):
-            return brownian_spectrum(_SPECTRUM_MODES)
-        g = Grid(_SPECTRUM_GRID)
-        return nystrom_eigen(base, g, _SPECTRUM_GRID)
-    if isinstance(target, FracIntegrated) and target.order == m:
+    if (isinstance(target, Integrated) and target.m == m) or (
+        isinstance(target, FracIntegrated) and target.order == m
+    ):
         base = target.base
         if isinstance(base, BrownianMotion):
             return brownian_spectrum(_SPECTRUM_MODES)
@@ -179,25 +174,14 @@ def optimize_lambda(q: ChenLiQuery, law: RateLaw, kappa_norm: float) -> LambdaCh
         raise SpecError("lambda optimisation needs eps in (0, 1)")
     if not (kappa_norm > 0.0):
         raise SpecError("kappa_norm must be positive")
-    h = q.m - 0.5
-    beta, p = beta_p(q.norm)
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    gap = h - beta - inv_p
+    gap = _regularity_gap(q.m - 0.5, q.norm)
     if gap <= 0.0:
         raise SpecError("h - beta - 1/p must be positive to balance factors")
     gamma = 1.0 / gap
     tau = law.tau
     if math.isinf(tau):
         raise SpecError("lambda optimisation needs a finite tau")
-    k_const = debruijn_constant(law.kappa, tau)
-    e_pow = 1.0 / (tau + 0.5)
-
-    def obj(t):
-        d = math.exp(t)
-        return kappa_norm * d**-gamma + k_const * d**e_pow
-
-    t_star, c_star = _golden_min(obj, -30.0, 30.0)
-    d_star = math.exp(t_star)
+    d_star, c_star, k_const = _balance(law, kappa_norm, gamma)
     denom = 1.0 / gamma + tau + 0.5
     lam = d_star * q.eps ** (-(tau + 0.5) / denom)
     if law.theta != 0.0:
@@ -232,6 +216,7 @@ def remainder_term_check(
     """
     if not (z_order > 0.0):
         raise SpecError(f"smooth-part order must be > 0, got {z_order}")
+    eps_list = list(eps_list)  # both curves read it
     cx = mc_smallball(x_spec, norm, eps_list, n_samples, _child_seed(seed, 2), grid=grid)
     cy = mc_smallball(y_spec, norm, eps_list, n_samples, _child_seed(seed, 3), grid=grid)
     fx = rate_fit(cx, theta_fixed=0.0)

@@ -30,7 +30,7 @@ from scipy.stats import norm as _normdist
 from . import _rng
 from ._lsq import gauss_newton
 from .errors import EmptyCurveError, FitDegenerateError, NumericsError, SpecError
-from .norms import batch_norms, beta_p
+from .norms import _regularity_gap, batch_norms, beta_p
 from .processes import (
     Grid,
     StableScaledFbm,
@@ -106,8 +106,9 @@ def mc_smallball(
     False when eps is within 5 median max-increments of the discretisation
     scale (the curve is then dominated by grid bias, not the process).
     """
-    eps = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
-    if eps.size != len(list(eps_list)):
+    eps_list = [float(e) for e in eps_list]  # a generator is read once
+    eps = np.asarray(sorted(set(eps_list), reverse=True))
+    if eps.size != len(eps_list):
         raise SpecError("radius list must not contain duplicates")
     if np.any(eps <= 0.0):
         raise SpecError("radii must be positive")
@@ -428,6 +429,20 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-10):
     return x, f(x)
 
 
+def _balance(law: RateLaw, kappa_norm: float, gamma: float):
+    """Minimise the Chen-Li balance kappa_norm * D^(-gamma) + K * D^(1/(tau+1/2))
+    over D > 0, K the Laplace growth constant of the law: (D*, minimum, K)."""
+    k_const = debruijn_constant(law.kappa, law.tau)
+    e_pow = 1.0 / (law.tau + 0.5)
+
+    def obj(t):
+        d = math.exp(t)
+        return kappa_norm * d**-gamma + k_const * d**e_pow
+
+    t_star, c_star = _golden_min(obj, -30.0, 30.0)
+    return math.exp(t_star), c_star, k_const
+
+
 def transfer_bound(
     law: RateLaw, m: float, norm, kappa_norm: Optional[float] = None
 ) -> TransferResult:
@@ -436,9 +451,7 @@ def transfer_bound(
     norm constant is supplied; otherwise it is reported as unresolved."""
     if not (m > 0.0):
         raise SpecError(f"order m must be > 0, got {m}")
-    beta, p = beta_p(norm)
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    gap = m - beta - inv_p
+    gap = _regularity_gap(m, norm)
     if math.isinf(law.tau):
         if gap <= 0.0:
             raise SpecError("m - beta - 1/p must be positive for the transfer")
@@ -450,19 +463,11 @@ def transfer_bound(
     log_exponent = law.theta * law.tau / denom
     if kappa_norm is None:
         return TransferResult(exponent, log_exponent)
-    gamma_gap = m - 0.5 - beta - inv_p
+    gamma_gap = _regularity_gap(m - 0.5, norm)
     if gamma_gap <= 0.0:
         raise SpecError("constant resolution needs m - 1/2 - beta - 1/p > 0")
-    gamma = 1.0 / gamma_gap
-    k_const = debruijn_constant(law.kappa, law.tau)
-    e_pow = 1.0 / (law.tau + 0.5)
-
-    def obj(t):
-        d = math.exp(t)
-        return kappa_norm * d**-gamma + k_const * d**e_pow
-
-    t_star, c_star = _golden_min(obj, -30.0, 30.0)
-    return TransferResult(exponent, log_exponent, constant=c_star, d_star=math.exp(t_star))
+    d_star, c_star, _k = _balance(law, kappa_norm, 1.0 / gamma_gap)
+    return TransferResult(exponent, log_exponent, constant=c_star, d_star=d_star)
 
 
 def converse_transfer(law: ConverseLaw, m: float, norm) -> TransferResult:
@@ -497,9 +502,7 @@ def regularity_bound_check(spec, m: float, norm, curve: SmallBallCurve):
     ceiling 1/(m - beta - 1/p) by more than the 0.1 allowance."""
     if not (m > 0.0):
         raise SpecError(f"order m must be > 0, got {m}")
-    beta, p = beta_p(norm)
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    gap = m - beta - inv_p
+    gap = _regularity_gap(m, norm)
     if gap <= 0.0:
         raise SpecError("m - beta - 1/p must be positive")
     fit = rate_fit(curve, theta_fixed=0.0)

@@ -17,22 +17,17 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._cache import memo
 from .errors import SpecError
 
-_WEIGHT_CACHE: dict = {}
-_MATRIX_CACHE: dict = {}
 
-
+@memo
 def _weights(mu: float, n: int):
     """Convolution kernel and first-column correction for order mu on n nodes.
 
     Returns (kernel, first_col) without the h^mu/Gamma(mu) scale:
       kernel[0] = c0, kernel[d] = ctil(d);  first_col[i] = A(i).
     """
-    key = (mu, n)
-    w = _WEIGHT_CACHE.get(key)
-    if w is not None:
-        return w
     d = np.arange(n, dtype=float)
     m1 = mu + 1.0
     # ctil(d) = ((d+1)^(mu+1) - 2 d^(mu+1) + (d-1)^(mu+1)) / (mu (mu+1)), d >= 1
@@ -45,9 +40,7 @@ def _weights(mu: float, n: int):
     p = ((d + 1.0) ** mu - d**mu) / mu
     q = ((d + 1.0) ** m1 - d**m1) / m1
     first = q - d * p
-    w = (kernel, first)
-    _WEIGHT_CACHE[key] = w
-    return w
+    return kernel, first
 
 
 def _split_order(order: float):
@@ -107,12 +100,10 @@ def frac_integral(path, order: float):
     return _rewrap(template, out)
 
 
+@memo
 def operator_matrix(order: float, n: int) -> np.ndarray:
-    """Dense lower-triangular matrix of I^order on n interior nodes."""
-    key = (order, n)
-    w = _MATRIX_CACHE.get(key)
-    if w is not None:
-        return w
+    """Dense lower-triangular matrix of I^order on n interior nodes
+    (cached and read-only)."""
     m, mu = _split_order(order)
 
     def single(mu_k):
@@ -130,7 +121,6 @@ def operator_matrix(order: float, n: int) -> np.ndarray:
         w1 = single(1.0)
         for _ in range(m):
             w = w1 @ w
-    _MATRIX_CACHE[key] = w
     return w
 
 

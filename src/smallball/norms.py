@@ -64,6 +64,12 @@ def beta_p(norm):
     raise SpecError(f"unknown norm spec {norm!r}")
 
 
+def _regularity_gap(m: float, norm) -> float:
+    """m - beta - 1/p for the norm's regularity pair (1/p = 0 for p = inf)."""
+    beta, p = beta_p(norm)
+    return m - beta - (0.0 if math.isinf(p) else 1.0 / p)
+
+
 def _trapz_pow(values: np.ndarray, p: float) -> np.ndarray:
     # values: (..., n) at t_1..t_n, origin value 0 implicit
     n = values.shape[-1]

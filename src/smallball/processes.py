@@ -13,10 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import gamma as _gamma
 from scipy.special import roots_jacobi
 
 from . import _rng
+from ._cache import memo
 from .errors import NumericsError, SpecError
 
 _NQ = 64  # Gauss-Jacobi nodes for Volterra covariances
@@ -223,63 +225,42 @@ def effective_hurst(spec) -> float:
 # covariance kernels
 
 
+@memo
 def _jacobi_nodes(alpha: float):
-    key = (_NQ, float(alpha))
-    nodes = _JACOBI_CACHE.get(key)
-    if nodes is None:
-        x, w = roots_jacobi(_NQ, alpha, 0.0)
-        nodes = (x, w)
-        _JACOBI_CACHE[key] = nodes
-    return nodes
+    return roots_jacobi(_NQ, alpha, 0.0)
 
 
-_JACOBI_CACHE: dict = {}
+def _row_blocks(rows: int, width: int):
+    """Slices over ``rows`` so that a (block, width) temporary holds about
+    2^22 elements."""
+    step = max(1, 2**22 // width)
+    return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
 
 
-def _rl_cov_pairs(h: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int_0^lo ((hi-u)(lo-u))^(h-1/2) du for lo <= hi, vectorised."""
+def _volterra_cov_pairs(h: float, coeffs: tuple, lo, hi) -> np.ndarray:
+    """int_0^lo k(hi-u) k(lo-u) du for lo <= hi, vectorised, with the kernel
+    k(x) = x^(h-1/2) g(x), g(x) = 1 + sum_j coeffs[j] x^(j+1)."""
     a = h - 0.5
-    out = np.empty_like(lo)
-    eq = hi <= lo * (1.0 + 1e-12)
-    # diagonal closed form: lo^(2h) / (2h)
-    out[eq] = lo[eq] ** (2.0 * h) / (2.0 * h)
-    ne = ~eq
-    if np.any(ne):
-        x, w = _jacobi_nodes(a)
-        lo_, hi_ = lo[ne, None], hi[ne, None]
-        u = lo_ * (1.0 + x) / 2.0
-        vals = (hi_ - u) ** a
-        out[ne] = (lo_[:, 0] / 2.0) ** (a + 1.0) * (vals * w).sum(axis=1)
-    return out
-
-
-def _gc_poly(coeffs: tuple) -> np.ndarray:
-    return np.array((1.0,) + coeffs)
-
-
-def _gc_cov_pairs(h: float, coeffs: tuple, lo, hi) -> np.ndarray:
-    """Covariance of the polynomially modulated Volterra kernel."""
-    a = h - 0.5
-    c = _gc_poly(coeffs)
+    c = np.array((1.0,) + coeffs)
     out = np.empty_like(lo)
     eq = hi <= lo * (1.0 + 1e-12)
     if np.any(eq):
-        # int_0^lo x^(2a) (g(x))^2 dx with polynomial g: exact term by term
+        # diagonal closed form: int_0^lo x^(2a) g(x)^2 dx, term by term
         b = np.convolve(c, c)
-        k = np.arange(b.size)
-        lo_eq = lo[eq, None]
-        out[eq] = (b * lo_eq ** (2.0 * a + k + 1.0) / (2.0 * a + k + 1.0)).sum(axis=1)
-    ne = ~eq
-    if np.any(ne):
+        e = 2.0 * h + np.arange(b.size)
+        out[eq] = (b * lo[eq, None] ** e / e).sum(axis=1)
+    ne = np.flatnonzero(~eq)
+    if ne.size:
         x, w = _jacobi_nodes(a)
-        lo_, hi_ = lo[ne, None], hi[ne, None]
-        u = lo_ * (1.0 + x) / 2.0
-        wlo = lo_ - u
-        whi = hi_ - u
-        g1 = np.polynomial.polynomial.polyval(wlo, c)
-        g2 = np.polynomial.polynomial.polyval(whi, c)
-        vals = g1 * whi**a * g2
-        out[ne] = (lo_[:, 0] / 2.0) ** (a + 1.0) * (vals * w).sum(axis=1)
+        for sl in _row_blocks(ne.size, x.size):
+            idx = ne[sl]
+            lo_, hi_ = lo[idx, None], hi[idx, None]
+            u = lo_ * (1.0 + x) / 2.0
+            whi = hi_ - u
+            vals = whi**a
+            if coeffs:
+                vals = polyval(lo_ - u, c) * vals * polyval(whi, c)
+            out[idx] = (lo_[:, 0] / 2.0) ** (a + 1.0) * (vals * w).sum(axis=1)
     return out
 
 
@@ -300,14 +281,12 @@ def _cov_pairs(spec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     if isinstance(spec, RiemannLiouville):
         if spec.h == 0.5:
             return lo.copy()
-        return _rl_cov_pairs(spec.h, lo, hi)
+        return _volterra_cov_pairs(spec.h, (), lo, hi)
     if isinstance(spec, FbmRlDifference):
-        v = fbm_volterra_variance(spec.h)
-        e = 2.0 * spec.h
-        fbm = 0.5 * (s**e + t**e - np.abs(t - s) ** e)
-        return v * fbm - _rl_cov_pairs(spec.h, lo, hi)
+        fbm = _cov_pairs(FractionalBm(spec.h), s, t)
+        return fbm_volterra_variance(spec.h) * fbm - _volterra_cov_pairs(spec.h, (), lo, hi)
     if isinstance(spec, GaussianConvolution):
-        return _gc_cov_pairs(spec.h, spec.coeffs, lo, hi)
+        return _volterra_cov_pairs(spec.h, spec.coeffs, lo, hi)
     if isinstance(spec, Integrated):
         if spec.m == 1 and isinstance(spec.base, BrownianMotion):
             return lo**2 * (3.0 * hi - lo) / 6.0
@@ -317,48 +296,29 @@ def _cov_pairs(spec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
             sym = t * s**e / e + s * t**e / e
             ph = _int_fbm_phi(s, h) + _int_fbm_phi(t, h) - _int_fbm_phi(np.abs(t - s), h)
             return 0.5 * (sym - ph)
+        # double Gauss-Legendre over [0,s] x [0,t]; base kernels are continuous
         inner = spec.base if spec.m == 1 else Integrated(spec.base, spec.m - 1)
-        return _integrate_cov_once(inner, s, t)
+        x, w = np.polynomial.legendre.leggauss(48)
+        return _double_quad(inner, s, t, (x + 1.0) / 2.0, w / 2.0, s * t)
     if isinstance(spec, FracIntegrated):
-        return _frac_cov_pairs(spec, lo, hi)
+        # Gamma(M)^-2 int_0^lo int_0^hi (lo-u)^(M-1) (hi-v)^(M-1) R_b(u,v);
+        # Gauss-Jacobi absorbs both endpoint factors
+        m = spec.order
+        x, w = _jacobi_nodes(m - 1.0)
+        pref = (lo * hi / 4.0) ** m / _gamma(m) ** 2
+        return _double_quad(spec.base, lo, hi, (1.0 + x) / 2.0, w, pref)
     raise SpecError(f"covariance not defined for {spec!r}")
 
 
-def _integrate_cov_once(base, s, t, nq: int = 48) -> np.ndarray:
-    # double Gauss-Legendre over [0,s] x [0,t]; base kernels are continuous
-    x, w = np.polynomial.legendre.leggauss(nq)
-    x = (x + 1.0) / 2.0
-    w = w / 2.0
+def _double_quad(base, s, t, x, w, pref) -> np.ndarray:
+    """pref * sum_ij w_i w_j R_base(s x_i, t x_j) per pair, nodes x on [0, 1]."""
+    nq = x.size
     out = np.empty_like(s)
-    block = max(1, 2**22 // (nq * nq))
-    for i0 in range(0, s.size, block):
-        sl = slice(i0, min(i0 + block, s.size))
-        ss, tt = s[sl, None], t[sl, None]
-        u = ss * x  # (b, nq)
-        v = tt * x
-        uu = np.repeat(u[:, :, None], nq, axis=2)
-        vv = np.repeat(v[:, None, :], nq, axis=1)
+    for sl in _row_blocks(s.size, nq * nq):
+        uu = np.repeat((s[sl, None] * x)[:, :, None], nq, axis=2)
+        vv = np.repeat((t[sl, None] * x)[:, None, :], nq, axis=1)
         r = _cov_pairs(base, uu.ravel(), vv.ravel()).reshape(uu.shape)
-        out[sl] = (ss[:, 0] * tt[:, 0]) * np.einsum("i,j,bij->b", w, w, r)
-    return out
-
-
-def _frac_cov_pairs(spec: FracIntegrated, lo, hi, nq: int = _NQ) -> np.ndarray:
-    # R(s,t) = Gamma(M)^-2 int_0^s int_0^t (s-u)^(M-1) (t-v)^(M-1) R_b(u,v)
-    m = spec.order
-    x, w = _jacobi_nodes(m - 1.0)
-    out = np.empty_like(lo)
-    block = max(1, 2**22 // (nq * nq))
-    for i0 in range(0, lo.size, block):
-        sl = slice(i0, min(i0 + block, lo.size))
-        ss, tt = lo[sl, None], hi[sl, None]
-        u = ss * (1.0 + x) / 2.0
-        v = tt * (1.0 + x) / 2.0
-        uu = np.repeat(u[:, :, None], nq, axis=2)
-        vv = np.repeat(v[:, None, :], nq, axis=1)
-        r = _cov_pairs(spec.base, uu.ravel(), vv.ravel()).reshape(uu.shape)
-        pref = (ss[:, 0] * tt[:, 0] / 4.0) ** m / _gamma(m) ** 2
-        out[sl] = pref * np.einsum("i,j,bij->b", w, w, r)
+        out[sl] = pref[sl] * np.einsum("i,j,bij->b", w, w, r)
     return out
 
 
@@ -417,14 +377,8 @@ def build_cov(spec, grid: Grid) -> np.ndarray:
 # sampling
 
 
-_CHOL_CACHE: dict = {}
-
-
+@memo
 def _cholesky_factor(spec, grid: Grid) -> np.ndarray:
-    key = (spec, grid)
-    fac = _CHOL_CACHE.get(key)
-    if fac is not None:
-        return fac
     if grid.n > MAX_CHOLESKY_N:
         raise SpecError(
             f"dense sampling supports n <= {MAX_CHOLESKY_N}, got {grid.n}"
@@ -439,9 +393,6 @@ def _cholesky_factor(spec, grid: Grid) -> np.ndarray:
             continue
     else:
         raise NumericsError(f"covariance of {spec!r} not positive definite")
-    if len(_CHOL_CACHE) > 8:
-        _CHOL_CACHE.clear()
-    _CHOL_CACHE[key] = fac
     return fac
 
 

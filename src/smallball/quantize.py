@@ -18,11 +18,11 @@ from scipy.optimize import root
 from scipy.stats import norm as _norm
 
 from . import _rng
+from ._cache import memo
 from .errors import NumericsError, SpecError
 from .spectral import EigenSpectrum
 
 _MAX_LEVELS = 256
-_CODEBOOK_CACHE: dict = {}
 
 
 def _centroids(c: np.ndarray) -> np.ndarray:
@@ -42,21 +42,18 @@ def _distortion(c: np.ndarray) -> float:
     return float(1.0 - 2.0 * (c * first).sum() + (c * c * mass).sum())
 
 
+@memo
 def gauss_scalar_codebook(n: int):
-    """Optimal n-level standard-normal quantizer: (codebook, e(n)^2).
+    """Optimal n-level standard-normal quantizer: (codebook, e(n)^2), the
+    codebook cached and read-only.
 
     Lloyd fixed point solved as a root problem (hybrid Powell); falls back to
     plain Lloyd iteration if the root solver stalls.
     """
     if n < 1:
         raise SpecError(f"levels must be >= 1, got {n}")
-    hit = _CODEBOOK_CACHE.get(n)
-    if hit is not None:
-        return hit
     if n == 1:
-        out = (np.zeros(1), 1.0)
-        _CODEBOOK_CACHE[n] = out
-        return out
+        return np.zeros(1), 1.0
     c0 = _norm.ppf((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)) * 0.95
     sol = root(lambda c: np.sort(c) - _centroids(np.sort(c)), c0, method="hybr", tol=1e-13)
     c = np.sort(sol.x)
@@ -72,9 +69,7 @@ def gauss_scalar_codebook(n: int):
             c = c_new
         else:
             raise NumericsError(f"Lloyd iteration did not converge for n={n}")
-    out = (c, _distortion(c))
-    _CODEBOOK_CACHE[n] = out
-    return out
+    return c, _distortion(c)
 
 
 @dataclass(frozen=True)
@@ -103,6 +98,7 @@ def product_quantizer(spectrum: EigenSpectrum, budget: float) -> Quantizer:
         raise SpecError(f"budget must be >= 0, got {budget}")
     lam = spectrum.lambdas
     levels = np.ones(lam.size, dtype=int)
+    drops = {}  # e(n)^2 - e(n+1)^2 by level n, looked up once per call
     used = 0.0
     while True:
         remaining = budget - used
@@ -114,10 +110,9 @@ def product_quantizer(spectrum: EigenSpectrum, budget: float) -> Quantizer:
             cost = math.log(n + 1) - math.log(n)
             if cost > remaining + 1e-12:
                 continue
-            gain = lam[k] * (
-                gauss_scalar_codebook(n)[1] - gauss_scalar_codebook(n + 1)[1]
-            )
-            ratio = gain / cost
+            if n not in drops:
+                drops[n] = gauss_scalar_codebook(n)[1] - gauss_scalar_codebook(n + 1)[1]
+            ratio = lam[k] * drops[n] / cost
             if ratio > best_ratio:
                 best_k, best_ratio = k, ratio
         if best_k < 0:

@@ -195,7 +195,9 @@ def neg_log_laplace(spectrum: EigenSpectrum, lam: float) -> float:
             if k_head >= _MAX_MODES:
                 raise NumericsError("tail materialisation exceeded mode cap")
             k_head = min(2 * k_head, _MAX_MODES)
-        ev = spectrum.extended(k_head) if k_head > ev.size else ev
+        # grown by the effective tail: ``extended`` ignores a fitted one
+        k = np.arange(ev.size + 1, k_head + 1, dtype=float)
+        ev = np.concatenate([ev, tail.values(k)]) if k.size else ev
     total = 0.5 * float(np.log1p(t2 * ev).sum())
     if tail is not None:
         k_head = ev.size

@@ -397,3 +397,12 @@ def test_sup_prob_monotone():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(SpecError):
         brownian_sup_prob(0.0)
+
+
+def test_mc_smallball_reads_a_generator_once():
+    radii = [0.9, 0.7, 0.5]
+    as_list = mc_smallball(BrownianMotion(), Lp(math.inf), radii, 3000, seed=8, grid=Grid(64))
+    as_gen = mc_smallball(
+        BrownianMotion(), Lp(math.inf), (e for e in radii), 3000, seed=8, grid=Grid(64)
+    )
+    assert as_gen.entries == as_list.entries

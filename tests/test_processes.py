@@ -221,3 +221,15 @@ def test_stable_scaled_paths_sample():
     batch = sample_paths(StableScaledFbm(0.5, 1.0), Grid(64), 500, seed=3)
     assert batch.values.shape == (500, 64)
     assert np.all(np.isfinite(batch.values))
+
+
+@pytest.mark.parametrize("h", [0.3, 0.7])
+def test_riemann_liouville_is_unmodulated_convolution(h):
+    from smallball.processes import _cov_pairs
+
+    rng = np.random.default_rng(2)
+    s = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.25, 1.0]])
+    t = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.25, 1.0]])
+    rl = _cov_pairs(RiemannLiouville(h), s, t)
+    gc = _cov_pairs(GaussianConvolution(h, ()), s, t)
+    assert rl.tobytes() == gc.tobytes()

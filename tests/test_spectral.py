@@ -232,3 +232,16 @@ def test_spectrum_validation():
         EigenSpectrum([0.0, -1.0])
     sp = EigenSpectrum([1.0, 1e-20])  # negligible mode clipped
     assert len(sp) == 1
+
+
+def test_laplace_grows_head_by_fitted_tail():
+    # no analytic tail: the head is grown by the fitted one, which keeps the
+    # Hurwitz series inside |q| <= 1/2 at large lambda
+    spec = EigenSpectrum(brownian_spectrum(64).lambdas)
+    for lam in (300.0, 1000.0):
+        val = neg_log_laplace(spec, lam)
+        exact = 0.5 * (lam - math.log(2.0))  # 0.5 log cosh(lam), to 1e-260
+        assert math.isfinite(val)
+        assert val == pytest.approx(exact, rel=0.02)
+    # below the growth threshold the fitted tail is summed as before
+    assert neg_log_laplace(spec, 100.0) == 49.54047991117224
