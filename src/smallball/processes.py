@@ -9,6 +9,7 @@ the weight, which is exact for smooth residual factors and accurate to
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,8 @@ from scipy.special import roots_jacobi
 from . import _rng
 from ._cache import memo
 from .errors import NumericsError, SpecError
+
+_log = logging.getLogger(__name__)
 
 _NQ = 64  # Gauss-Jacobi nodes for Volterra covariances
 
@@ -393,6 +396,10 @@ def _cholesky_factor(spec, grid: Grid) -> np.ndarray:
             continue
     else:
         raise NumericsError(f"covariance of {spec!r} not positive definite")
+    if jit > 0.0:
+        _log.warning(
+            "covariance of %r on %d points factored with jitter %.3g", spec, grid.n, jit
+        )
     return fac
 
 

@@ -9,13 +9,14 @@ r = sum log n_k.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import root
-from scipy.stats import norm as _norm
+from scipy.special import ndtr, ndtri
 
 from . import _rng
 from ._cache import memo
@@ -25,20 +26,25 @@ from .spectral import EigenSpectrum
 _MAX_LEVELS = 256
 
 
+def _pdf(x):
+    # scipy.stats.norm.pdf's own expression, so the codebooks keep their bits
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _centroids(c: np.ndarray) -> np.ndarray:
     b = 0.5 * (c[:-1] + c[1:])
     lo = np.concatenate([[-np.inf], b])
     hi = np.concatenate([b, [np.inf]])
-    mass = _norm.cdf(hi) - _norm.cdf(lo)
-    return (_norm.pdf(lo) - _norm.pdf(hi)) / mass
+    mass = ndtr(hi) - ndtr(lo)
+    return (_pdf(lo) - _pdf(hi)) / mass
 
 
 def _distortion(c: np.ndarray) -> float:
     b = 0.5 * (c[:-1] + c[1:])
     lo = np.concatenate([[-np.inf], b])
     hi = np.concatenate([b, [np.inf]])
-    mass = _norm.cdf(hi) - _norm.cdf(lo)
-    first = _norm.pdf(lo) - _norm.pdf(hi)
+    mass = ndtr(hi) - ndtr(lo)
+    first = _pdf(lo) - _pdf(hi)
     return float(1.0 - 2.0 * (c * first).sum() + (c * c * mass).sum())
 
 
@@ -54,7 +60,7 @@ def gauss_scalar_codebook(n: int):
         raise SpecError(f"levels must be >= 1, got {n}")
     if n == 1:
         return np.zeros(1), 1.0
-    c0 = _norm.ppf((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)) * 0.95
+    c0 = ndtri((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)) * 0.95
     sol = root(lambda c: np.sort(c) - _centroids(np.sort(c)), c0, method="hybr", tol=1e-13)
     c = np.sort(sol.x)
     # judge by the fixed-point residual, not sol.success: MINPACK reports
@@ -91,34 +97,38 @@ def product_quantizer(spectrum: EigenSpectrum, budget: float) -> Quantizer:
     """Greedy level allocation under a nats budget.
 
     Repeatedly increments the level of the coordinate with the largest
-    marginal distortion decrease per added log-cost; stops when no increment
-    fits the remaining budget.  Coordinates never exceed 256 levels.
+    marginal distortion decrease per added log-cost (ties to the lowest
+    index); stops when no increment fits the remaining budget.  Coordinates
+    never exceed 256 levels.
     """
     if budget < 0.0:
         raise SpecError(f"budget must be >= 0, got {budget}")
     lam = spectrum.lambdas
     levels = np.ones(lam.size, dtype=int)
     drops = {}  # e(n)^2 - e(n+1)^2 by level n, looked up once per call
+    heap = []  # (-ratio, k, cost): the best ratio first, ties to the lowest k
     used = 0.0
-    while True:
-        remaining = budget - used
-        best_k, best_ratio = -1, -1.0
-        for k in range(lam.size):
-            n = levels[k]
-            if n >= _MAX_LEVELS:
-                continue
-            cost = math.log(n + 1) - math.log(n)
-            if cost > remaining + 1e-12:
-                continue
-            if n not in drops:
-                drops[n] = gauss_scalar_codebook(n)[1] - gauss_scalar_codebook(n + 1)[1]
-            ratio = lam[k] * drops[n] / cost
-            if ratio > best_ratio:
-                best_k, best_ratio = k, ratio
-        if best_k < 0:
-            break
-        used += math.log(levels[best_k] + 1) - math.log(levels[best_k])
-        levels[best_k] += 1
+
+    def push(k):
+        n = levels[k]
+        cost = math.log(n + 1) - math.log(n)
+        # the remaining budget only falls, so an increment that does not fit
+        # now never will
+        if n >= _MAX_LEVELS or cost > budget - used + 1e-12:
+            return
+        if n not in drops:
+            drops[n] = gauss_scalar_codebook(n)[1] - gauss_scalar_codebook(n + 1)[1]
+        heapq.heappush(heap, (-(lam[k] * drops[n] / cost), k, cost))
+
+    for k in range(lam.size):
+        push(k)
+    while heap:
+        _, k, cost = heapq.heappop(heap)
+        if cost > budget - used + 1e-12:
+            continue
+        used += cost
+        levels[k] += 1
+        push(k)
     books = tuple(gauss_scalar_codebook(int(n))[0] for n in levels)
     return Quantizer(spectrum, tuple(int(n) for n in levels), books, used)
 

@@ -1,4 +1,6 @@
+import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from smallball import (
     sample_paths,
     sample_positive_stable,
 )
+from smallball import processes
 from smallball.errors import SpecError
+from smallball.processes import _cholesky_factor
 
 
 def test_grid_layout():
@@ -233,3 +237,33 @@ def test_riemann_liouville_is_unmodulated_convolution(h):
     rl = _cov_pairs(RiemannLiouville(h), s, t)
     gc = _cov_pairs(GaussianConvolution(h, ()), s, t)
     assert rl.tobytes() == gc.tobytes()
+
+
+@dataclass(frozen=True)
+class _RankOne:
+    """A degenerate process X_t = xi for all t, so no cached factor is shared."""
+
+
+def test_cholesky_jitter_is_logged_once(monkeypatch, caplog):
+    # the all-ones covariance is PSD of rank one: the plain factorisation
+    # fails and the ladder's first rung, 1e-12 times the mean variance, works
+    monkeypatch.setattr(processes, "build_cov", lambda spec, grid: np.ones((grid.n, grid.n)))
+    with caplog.at_level(logging.WARNING, logger="smallball"):
+        fac = _cholesky_factor(_RankOne(), Grid(8))
+        again = _cholesky_factor(_RankOne(), Grid(8))
+    assert again is fac
+    assert np.allclose(fac @ fac.T, np.ones((8, 8)) + 1e-12 * np.eye(8), rtol=0, atol=1e-15)
+    records = [r for r in caplog.records if r.name == "smallball.processes"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.WARNING
+    assert records[0].getMessage() == (
+        "covariance of _RankOne() on 8 points factored with jitter 1e-12"
+    )
+    handlers = logging.getLogger("smallball").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+def test_cholesky_without_jitter_is_silent(caplog):
+    with caplog.at_level(logging.WARNING, logger="smallball"):
+        _cholesky_factor(RiemannLiouville(0.7), Grid(23))
+    assert not [r for r in caplog.records if r.name.startswith("smallball")]

@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import norm
 
 from smallball.errors import SpecError
 from smallball.processes import BrownianMotion
 from smallball.quantize import (
     QuantCurve,
+    _centroids,
+    _distortion,
     gauss_scalar_codebook,
     product_quantizer,
     quant_curve,
     quant_error,
 )
-from smallball.spectral import EigenSpectrum, brownian_spectrum
+from smallball.spectral import EigenSpectrum, brownian_spectrum, integrated_brownian_spectrum
 
 # Lloyd fixed points for the standard normal, 12 digits
 E2_REF = {
@@ -74,8 +78,96 @@ def test_codebook_against_mc_oracle(n):
     assert abs(mean - e2) < 3.0 * se
 
 
+def _centroids_stats(c):
+    b = 0.5 * (c[:-1] + c[1:])
+    lo = np.concatenate([[-np.inf], b])
+    hi = np.concatenate([b, [np.inf]])
+    mass = norm.cdf(hi) - norm.cdf(lo)
+    return (norm.pdf(lo) - norm.pdf(hi)) / mass
+
+
+def _distortion_stats(c):
+    b = 0.5 * (c[:-1] + c[1:])
+    lo = np.concatenate([[-np.inf], b])
+    hi = np.concatenate([b, [np.inf]])
+    mass = norm.cdf(hi) - norm.cdf(lo)
+    first = norm.pdf(lo) - norm.pdf(hi)
+    return float(1.0 - 2.0 * (c * first).sum() + (c * c * mass).sum())
+
+
+def test_kernels_match_scipy_stats_bitwise():
+    # the ufunc kernels must give scipy.stats.norm's bits, or the solved
+    # codebooks would move
+    boards = [gauss_scalar_codebook(n)[0] for n in range(2, 65)]
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 7, 16, 64, 200, 256):
+        for _ in range(5):
+            boards.append(np.sort(rng.normal(scale=rng.uniform(0.5, 1.5), size=n)))
+    for c in boards:
+        assert np.array_equal(_centroids(c), _centroids_stats(c))
+        assert _distortion(c) == _distortion_stats(c)
+    for n in range(2, 65):
+        q = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+        assert np.array_equal(ndtri(q), norm.ppf(q))
+
+
 # ---------------------------------------------------------------------------
 # allocation
+
+
+def _scan_allocation(spectrum, budget):
+    """The greedy as a full rescan of every mode per increment: the
+    reference the heap allocation must reproduce bit for bit."""
+    lam = spectrum.lambdas
+    levels = np.ones(lam.size, dtype=int)
+    drops = {}
+    used = 0.0
+    while True:
+        remaining = budget - used
+        best_k, best_ratio = -1, -1.0
+        for k in range(lam.size):
+            n = levels[k]
+            if n >= 256:
+                continue
+            cost = math.log(n + 1) - math.log(n)
+            if cost > remaining + 1e-12:
+                continue
+            if n not in drops:
+                drops[n] = gauss_scalar_codebook(n)[1] - gauss_scalar_codebook(n + 1)[1]
+            ratio = lam[k] * drops[n] / cost
+            if ratio > best_ratio:
+                best_k, best_ratio = k, ratio
+        if best_k < 0:
+            break
+        used += math.log(levels[best_k] + 1) - math.log(levels[best_k])
+        levels[best_k] += 1
+    return tuple(int(n) for n in levels), used
+
+
+_LADDER = [0.4 * i for i in range(41)] + [10.3]
+
+
+@pytest.mark.parametrize(
+    "spectrum, budgets",
+    [
+        (brownian_spectrum(1500), _LADDER),
+        (integrated_brownian_spectrum(1500), _LADDER),
+        (EigenSpectrum([1.0] * 4), [0.0, 0.5, math.log(2.0), 1.5, math.log(24.0), 6.0]),
+        (EigenSpectrum([1.0]), [7.0]),
+        (EigenSpectrum([1.0, 1e-6]), [math.log(4.0)]),
+    ],
+    ids=["bm", "ibm", "ties", "level_cap", "exact_budget"],
+)
+def test_allocation_matches_full_scan(spectrum, budgets):
+    for budget in budgets:
+        qz = product_quantizer(spectrum, budget)
+        levels, used = _scan_allocation(spectrum, budget)
+        assert qz.levels == levels
+        assert qz.rate == used
+        assert all(
+            np.array_equal(cb, gauss_scalar_codebook(n)[0])
+            for cb, n in zip(qz.codebooks, levels)
+        )
 
 
 def test_allocation_dominant_mode():
