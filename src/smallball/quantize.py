@@ -24,6 +24,10 @@ from .errors import NumericsError, SpecError
 from .spectral import EigenSpectrum
 
 _MAX_LEVELS = 256
+# quant_error streams each chunk through one row block of at most about this
+# many float64 elements (2 MiB), so a worker holds O(block x d), not
+# O(chunk x d)
+_BLOCK_ELEMS = 2**18
 
 
 def _pdf(x):
@@ -133,6 +137,38 @@ def product_quantizer(spectrum: EigenSpectrum, budget: float) -> Quantizer:
     return Quantizer(spectrum, tuple(int(n) for n in levels), books, used)
 
 
+def _chunk_d2(rng, k_rows, quantizer, mids, active):
+    """Squared distance of each of k_rows standard-normal draws (C order,
+    d per row) to its product codeword, weighted by the eigenvalues.
+
+    The draws stream through one reused row block.  The result has the bits
+    of the whole-chunk product ``err @ lam``: BLAS's gemv sums each row alike
+    in every kernel group (4 rows in OpenBLAS's Haswell kernel) but a
+    matrix's last ``rows % 4`` rows in its own way, so every block but the
+    last holds whole groups (a multiple of 16 rows), and a one-row product
+    takes the dot kernel instead, so a last row on its own joins the block
+    before it.  Blocks this small stay under OpenBLAS's threading threshold.
+    """
+    lam = quantizer.spectrum.lambdas
+    d = lam.size
+    block_rows = max(16, _BLOCK_ELEMS // d // 16 * 16)
+    buf = np.empty((min(block_rows + 1, k_rows), d))
+    d2 = np.empty(k_rows)
+    lo = 0
+    while lo < k_rows:
+        hi = k_rows if k_rows - lo <= block_rows + 1 else lo + block_rows
+        xi = buf[: hi - lo]
+        rng.standard_normal(out=xi)
+        raw = xi[:, active]
+        np.multiply(xi, xi, out=xi)
+        for j, k in enumerate(active):
+            q = quantizer.codebooks[k][np.searchsorted(mids[k], raw[:, j])]
+            xi[:, k] = (raw[:, j] - q) ** 2
+        d2[lo:hi] = xi @ lam
+        lo = hi
+    return d2
+
+
 def quant_error(
     spec,
     quantizer: Quantizer,
@@ -147,8 +183,7 @@ def quant_error(
     """
     if n_mc < 2:
         raise SpecError("n_mc must be >= 2")
-    lam = quantizer.spectrum.lambdas
-    d = lam.size
+    d = len(quantizer.levels)
     mids = [
         0.5 * (cb[:-1] + cb[1:]) if cb.size > 1 else None
         for cb in quantizer.codebooks
@@ -160,13 +195,7 @@ def quant_error(
     def work(c):
         rng = _rng.stream(seed, _rng.DOMAIN_QUANT, c)
         k_rows = min(rows, n_mc - c * rows)
-        xi = rng.standard_normal((k_rows, d))
-        err = xi * xi
-        for k in active:
-            cb = quantizer.codebooks[k]
-            q = cb[np.searchsorted(mids[k], xi[:, k])]
-            err[:, k] = (xi[:, k] - q) ** 2
-        d2 = err @ lam
+        d2 = _chunk_d2(rng, k_rows, quantizer, mids, active)
         return float(d2.sum()), float((d2 * d2).sum()), k_rows
 
     s1 = s2 = 0.0
@@ -197,8 +226,12 @@ def quant_curve(
     n_mc: int,
     seed: int = _rng.DEFAULT_SEED,
 ) -> QuantCurve:
+    rs = sorted(float(r) for r in budgets)
+    # fail before any quantizer is built or any normal drawn
+    if any(b == a for a, b in zip(rs, rs[1:])):
+        raise SpecError("quantization budgets must be strictly increasing")
     entries = []
-    for r in sorted(float(r) for r in budgets):
+    for r in rs:
         qz = product_quantizer(spectrum, r)
         d_hat, se = quant_error(spec, qz, n_mc, seed=seed)
         entries.append((r, d_hat, se))

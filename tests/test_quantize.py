@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
+from smallball import _rng, quantize
 from smallball.errors import SpecError
 from smallball.processes import BrownianMotion
 from smallball.quantize import (
@@ -271,6 +273,128 @@ def test_quant_error_deterministic(monkeypatch):
     assert a == b
 
 
+def _mids_and_active(quantizer):
+    mids = [
+        0.5 * (cb[:-1] + cb[1:]) if cb.size > 1 else None
+        for cb in quantizer.codebooks
+    ]
+    active = [k for k in range(len(mids)) if quantizer.levels[k] > 1]
+    return mids, active
+
+
+def _chunk_d2_unblocked(rng, k_rows, quantizer, mids, active):
+    """A chunk drawn and squared as one k_rows x d matrix: the reference the
+    row-block streaming must reproduce bit for bit."""
+    lam = quantizer.spectrum.lambdas
+    xi = rng.standard_normal((k_rows, lam.size))
+    err = xi * xi
+    for k in active:
+        cb = quantizer.codebooks[k]
+        q = cb[np.searchsorted(mids[k], xi[:, k])]
+        err[:, k] = (xi[:, k] - q) ** 2
+    return err @ lam
+
+
+def _quant_error_unblocked(quantizer, n_mc, seed):
+    mids, active = _mids_and_active(quantizer)
+    rows = _rng.chunk_rows(len(mids), n_mc)
+    n_chunks = -(-n_mc // rows)
+
+    def work(c):
+        rng = _rng.stream(seed, _rng.DOMAIN_QUANT, c)
+        k_rows = min(rows, n_mc - c * rows)
+        d2 = _chunk_d2_unblocked(rng, k_rows, quantizer, mids, active)
+        return float(d2.sum()), float((d2 * d2).sum()), k_rows
+
+    s1 = s2 = 0.0
+    for a, b, _k in _rng.map_chunks(work, n_chunks):
+        s1 += a
+        s2 += b
+    mean = s1 / n_mc
+    var = max(s2 / n_mc - mean * mean, 0.0) / (n_mc - 1)
+    d_hat = math.sqrt(mean)
+    se = math.sqrt(var) / (2.0 * d_hat) if d_hat > 0 else 0.0
+    return d_hat, se
+
+
+@pytest.mark.parametrize(
+    "spectrum, row_counts",
+    [
+        (brownian_spectrum(1500), (1, 2, 3, 15, 16, 17, 159, 160, 161, 162, 163, 305, 3616, 8192)),
+        (integrated_brownian_spectrum(700), (2, 17, 367, 368, 369, 370, 3616, 8192)),
+    ],
+    ids=["bm1500", "ibm700"],
+)
+def test_chunk_d2_matches_whole_chunk_product_bitwise(spectrum, row_counts):
+    # row by row, which the summed outputs can hide.  1500 modes stream
+    # 160-row blocks and 700 modes 368-row ones (2^18 // d rows would split
+    # BLAS kernel groups); 161 and 369 rows leave a last row on its own.
+    # Whole-chunk products past OpenBLAS's threading threshold (~4.6e5
+    # elements) can change with the BLAS thread count themselves, so apart
+    # from the 3616- and 8192-row chunks of n_mc = 20000 the references
+    # stay below it.
+    qz = product_quantizer(spectrum, 10.3)
+    mids, active = _mids_and_active(qz)
+    for k_rows in row_counts:
+        got = quantize._chunk_d2(np.random.default_rng(k_rows), k_rows, qz, mids, active)
+        ref = _chunk_d2_unblocked(np.random.default_rng(k_rows), k_rows, qz, mids, active)
+        assert np.array_equal(got, ref), k_rows
+
+
+@pytest.mark.parametrize(
+    "spectrum, budget, n_mc",
+    [
+        # 20000 rows of 1500 modes: chunks of 8192, 8192 and 3616 rows, none
+        # a whole number of row blocks
+        (brownian_spectrum(1500), 0.0, 20000),
+        (brownian_spectrum(1500), 1.0, 20000),
+        (brownian_spectrum(1500), 16.0, 20000),
+        (integrated_brownian_spectrum(1500), 10.3, 20000),
+        (brownian_spectrum(1500), 5.5, 2),
+        (brownian_spectrum(1500), 5.5, 37),
+        # 161 rows: one 160-row block and a last row on its own
+        (brownian_spectrum(1500), 5.5, 161),
+        # 700 modes: 2^18 // 700 = 374 rows would split BLAS kernel groups
+        (integrated_brownian_spectrum(700), 10.3, 4000),
+        (EigenSpectrum([1.0]), 3.0, 4000),
+        (EigenSpectrum([1.0] * 4), math.log(24.0), 4000),
+    ],
+    ids=[
+        "bm0", "bm1", "bm16", "ibm10.3", "n2", "n37", "n161", "ibm700",
+        "one_mode", "all_active",
+    ],
+)
+def test_quant_error_matches_unblocked_bitwise(spectrum, budget, n_mc):
+    qz = product_quantizer(spectrum, budget)
+    assert quant_error(BrownianMotion(), qz, n_mc, seed=7) == _quant_error_unblocked(
+        qz, n_mc, 7
+    )
+
+
+def test_quant_error_deterministic_over_workers(monkeypatch):
+    # three chunks, so map_chunks reaches the pool
+    qz = product_quantizer(brownian_spectrum(1500), 16.0)
+    assert -(-20000 // _rng.chunk_rows(1500, 20000)) >= 3
+    results = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMALLBALL_THREADS", workers)
+        results.append(quant_error(BrownianMotion(), qz, 20000, seed=13))
+    assert results[0] == results[1] == results[2]
+
+
+def test_quant_error_memory_is_bounded_by_the_block(monkeypatch):
+    # drawing whole chunks held two 8192 x 1500 float64 matrices (~188 MiB)
+    monkeypatch.setenv("SMALLBALL_THREADS", "1")
+    qz = product_quantizer(brownian_spectrum(1500), 16.0)
+    tracemalloc.start()
+    try:
+        quant_error(BrownianMotion(), qz, 20000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_quant_curve_decreasing_distortion():
     sp = brownian_spectrum(200)
     curve = quant_curve(BrownianMotion(), sp, [1.0, 2.0, 4.0], 4000, seed=11)
@@ -283,3 +407,13 @@ def test_quant_curve_decreasing_distortion():
 def test_quant_curve_rejects_flat_budgets():
     with pytest.raises(SpecError):
         QuantCurve(((2.0, 1.0, 0.0), (2.0, 0.9, 0.0)))
+
+
+def test_quant_curve_rejects_duplicate_budgets_before_drawing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("duplicate budgets reached the distortion draws")
+
+    monkeypatch.setattr(quantize, "quant_error", fail)
+    monkeypatch.setattr(quantize, "product_quantizer", fail)
+    with pytest.raises(SpecError, match="strictly increasing"):
+        quant_curve(BrownianMotion(), brownian_spectrum(200), [2.0, 1.0, 2.0], 4000)
