@@ -16,7 +16,7 @@ from .errors import (
     SpecError,
     VerificationError,
 )
-from .norms import Holder, L2Squared, Lp, batch_norms, beta_p, eval_norm, norm_of_values
+from .norms import Holder, L2Squared, Lp, batch_norms, beta_p
 from .processes import (
     BrownianMotion,
     FbmRlDifference,
@@ -25,9 +25,7 @@ from .processes import (
     GaussianConvolution,
     Grid,
     Integrated,
-    PathBatch,
     RiemannLiouville,
-    SamplePath,
     StableScaledFbm,
     build_cov,
     covariance,
@@ -52,11 +50,8 @@ from .spectral import (
 from .estimation import (
     ConverseLaw,
     CurveEntry,
-    DebruijnResult,
     RateLaw,
-    RegularityVerdict,
     SmallBallCurve,
-    TransferResult,
     brownian_sup_prob,
     converse_transfer,
     debruijn_check,
@@ -69,9 +64,6 @@ from .estimation import (
 )
 from .chenli import (
     ChenLiQuery,
-    ChenLiResult,
-    LambdaChoice,
-    RemainderResult,
     chenli_bound,
     derivative_spectrum,
     optimize_lambda,
@@ -79,7 +71,6 @@ from .chenli import (
 )
 from .quantize import (
     QuantCurve,
-    Quantizer,
     gauss_scalar_codebook,
     product_quantizer,
     quant_curve,
@@ -94,10 +85,8 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 __all__ = [
     "BrownianMotion",
     "ChenLiQuery",
-    "ChenLiResult",
     "ConverseLaw",
     "CurveEntry",
-    "DebruijnResult",
     "EigenSpectrum",
     "EmptyCurveError",
     "FbmRlDifference",
@@ -109,23 +98,16 @@ __all__ = [
     "Holder",
     "Integrated",
     "L2Squared",
-    "LambdaChoice",
     "Lp",
     "NumericsError",
-    "PathBatch",
     "QuantCurve",
-    "Quantizer",
     "RateLaw",
-    "RegularityVerdict",
-    "RemainderResult",
     "RiemannLiouville",
-    "SamplePath",
     "SmallballError",
     "SmallBallCurve",
     "SpecError",
     "SpectralTail",
     "StableScaledFbm",
-    "TransferResult",
     "VerificationError",
     "batch_norms",
     "beta_p",
@@ -141,7 +123,6 @@ __all__ = [
     "derivative_spectrum",
     "effective_hurst",
     "eigen_rate_fit",
-    "eval_norm",
     "fbm_volterra_variance",
     "frac_derivative",
     "frac_integral",
@@ -151,7 +132,6 @@ __all__ = [
     "laplace_transform_l2",
     "mc_smallball",
     "neg_log_laplace",
-    "norm_of_values",
     "nystrom_eigen",
     "operator_matrix",
     "optimize_lambda",

@@ -1,10 +1,9 @@
 """Deterministic random-stream plumbing.
 
-Every stochastic routine derives its generators from a user seed through
-``stream(seed, domain, chunk)``.  Work is split into chunks of whole sample
-rows; chunk c always consumes stream (seed, domain, c) regardless of how many
-workers execute the chunks, so results are bitwise reproducible across worker
-counts.
+Every stochastic routine draws through ``map_rows``, which splits the work
+into chunks of whole sample rows; chunk c always consumes the generator
+``stream(seed, domain, c)`` regardless of how many workers execute the
+chunks, so results are bitwise reproducible across worker counts.
 """
 from __future__ import annotations
 
@@ -12,6 +11,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .errors import SpecError
 
 DEFAULT_SEED = 20090520
 
@@ -38,13 +39,15 @@ def chunk_rows(n_cols: int, total_rows: int) -> int:
 
 def worker_count() -> int:
     env = os.environ.get("SMALLBALL_THREADS")
-    if env is not None:
-        try:
-            k = int(env)
-        except ValueError:
-            k = 1
-        return max(1, k)
-    return 1
+    if env is None:
+        return 1
+    try:
+        k = int(env)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise SpecError(f"SMALLBALL_THREADS must be a positive integer, got {env!r}")
+    return k
 
 
 def map_chunks(fn, n_chunks: int):
@@ -58,3 +61,19 @@ def map_chunks(fn, n_chunks: int):
         return [fn(c) for c in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=k) as ex:
         return list(ex.map(fn, range(n_chunks)))
+
+
+def map_rows(fn, count: int, n_cols: int, seed: int, domain: int):
+    """Apply fn(rng, lo, k) to the row chunks of a count-row draw, results in
+    chunk order.
+
+    Chunk c holds rows [c*rows, c*rows + k), rows = chunk_rows(n_cols, count),
+    and draws from stream(seed, domain, c), whatever the worker count.
+    """
+    rows = chunk_rows(n_cols, count)
+
+    def one(c):
+        lo = c * rows
+        return fn(stream(seed, domain, c), lo, min(rows, count - lo))
+
+    return map_chunks(one, -(-count // rows))

@@ -33,7 +33,7 @@ from .estimation import (
     rate_fit,
     transfer_bound,
 )
-from .norms import Holder, L2Squared, Lp, norm_of_values
+from .norms import Holder, L2Squared, Lp, batch_norms
 from .processes import (
     BrownianMotion,
     FbmRlDifference,
@@ -156,10 +156,10 @@ def _run_simulate(cfg, out):
     spec = _parse_spec(_require(cfg, "process"))
     grid = Grid(int(_require(cfg, "grid_n")))
     count = int(cfg.get("count", 8))
-    batch = sample_paths(spec, grid, count, seed=int(cfg["seed"]))
+    paths = sample_paths(spec, grid, count, seed=int(cfg["seed"]))
     header = "t," + ",".join(f"path_{j}" for j in range(count))
     rows = [
-        [float(t)] + [float(v) for v in batch.values[:, i]]
+        [float(t)] + [float(v) for v in paths[:, i]]
         for i, t in enumerate(grid.points)
     ]
     _write_csv(os.path.join(out, "simulate.csv"), cfg, header, rows)
@@ -386,7 +386,7 @@ def _verify_all(cfg, out):
     x = rng.standard_normal(200)
     worst = 0.0
     for nrm in (Lp(1.0), Lp(2.0), Lp(math.inf), Holder(0.5)):
-        a, b = norm_of_values(3.0 * x, nrm), 3.0 * norm_of_values(x, nrm)
+        a, b = batch_norms(3.0 * x, nrm)[0], 3.0 * batch_norms(x, nrm)[0]
         worst = max(worst, abs(a - b) / b)
     record("norm_homogeneity", worst, 1e-12, worst < 1e-12)
 

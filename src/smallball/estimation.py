@@ -32,9 +32,11 @@ from ._lsq import gauss_newton
 from .errors import EmptyCurveError, FitDegenerateError, NumericsError, SpecError
 from .norms import _regularity_gap, batch_norms, beta_p
 from .processes import (
+    FractionalBm,
     Grid,
     StableScaledFbm,
     _gaussian_chunk,
+    _require_gaussian,
     effective_hurst,
     sample_positive_stable,
 )
@@ -117,42 +119,28 @@ def mc_smallball(
     if grid is None:
         grid = _policy_grid(spec, float(eps.min()))
 
+    amps, gauss_spec = None, spec
     if isinstance(spec, StableScaledFbm):
         amps = np.sqrt(sample_positive_stable(spec.alpha / 2.0, n_samples, seed))
-        from .processes import FractionalBm
-
         gauss_spec = FractionalBm(spec.h)
-    else:
-        amps = None
-        gauss_spec = spec
-        # fail fast on unsupported covariances before burning samples
-        from .processes import _require_gaussian
-
-        _require_gaussian(spec)
-
-    rows = _rng.chunk_rows(grid.n, n_samples)
-    n_chunks = -(-n_samples // rows)
-
-    def work(c):
-        rng = _rng.stream(seed, _rng.DOMAIN_PATHS, c)
-        k = min(rows, n_samples - c * rows)
-        vals = _gaussian_chunk(gauss_spec, grid, k, rng)
-        if amps is not None:
-            vals = vals * amps[c * rows : c * rows + k, None]
-        nrm = batch_norms(vals, norm)
-        # max |increment| from the origin on, in one temporary
-        d = np.subtract(vals[:, 1:], vals[:, :-1])
-        np.abs(d, out=d)
-        inc = np.maximum(d.max(axis=1, initial=0.0), np.abs(vals[:, 0]))
-        return nrm, inc
+    # fail fast on unsupported covariances before burning samples
+    _require_gaussian(gauss_spec)
 
     norms_all = np.empty(n_samples)
     incs_all = np.empty(n_samples)
-    pos = 0
-    for nrm, inc in _rng.map_chunks(work, n_chunks):
-        norms_all[pos : pos + nrm.size] = nrm
-        incs_all[pos : pos + inc.size] = inc
-        pos += nrm.size
+
+    def work(rng, lo, k):
+        vals = _gaussian_chunk(gauss_spec, grid, k, rng)
+        if amps is not None:
+            vals = vals * amps[lo : lo + k, None]
+        norms_all[lo : lo + k] = batch_norms(vals, norm)
+        # max |increment| from the origin on, in one temporary
+        d = np.subtract(vals[:, 1:], vals[:, :-1])
+        np.abs(d, out=d)
+        inc = d.max(axis=1, initial=0.0)
+        incs_all[lo : lo + k] = np.maximum(inc, np.abs(vals[:, 0]))
+
+    _rng.map_rows(work, n_samples, grid.n, seed, _rng.DOMAIN_PATHS)
 
     norms_all.sort()
     hits = np.searchsorted(norms_all, eps, side="right")

@@ -76,28 +76,16 @@ def _apply_once(values: np.ndarray, mu: float) -> np.ndarray:
     return scale * out
 
 
-def _values_of(path_or_values):
-    if hasattr(path_or_values, "values"):
-        return np.asarray(path_or_values.values, dtype=float), path_or_values
-    return np.asarray(path_or_values, dtype=float), None
-
-
-def _rewrap(template, values):
-    if template is None:
-        return values
-    return template.__class__(template.grid, values)
-
-
-def frac_integral(path, order: float):
-    """I^order applied to a path (SamplePath or plain value array)."""
-    values, template = _values_of(path)
+def frac_integral(values, order: float) -> np.ndarray:
+    """I^order applied to a path of shape (n,) or a batch of shape (count, n)."""
+    values = np.asarray(values, dtype=float)
     if order == 0.0:
-        return _rewrap(template, values.copy())
+        return values.copy()
     m, mu = _split_order(order)
     out = _apply_once(values, mu)
     for _ in range(m):
         out = _apply_once(out, 1.0)
-    return _rewrap(template, out)
+    return out
 
 
 @memo
@@ -124,24 +112,22 @@ def operator_matrix(order: float, n: int) -> np.ndarray:
     return w
 
 
-def frac_derivative(path, order: float):
+def frac_derivative(values, order: float) -> np.ndarray:
     """Inverse of frac_integral at the same order, by forward substitution on
     the composed triangular operator plus one step of iterative refinement."""
-    values, template = _values_of(path)
+    values = np.asarray(values, dtype=float)
     if order == 0.0:
-        return _rewrap(template, values.copy())
+        return values.copy()
     n = values.shape[-1]
     w = operator_matrix(order, n)
     rhs = values.T if values.ndim > 1 else values
     x = solve_triangular(w, rhs, lower=True)
     x += solve_triangular(w, rhs - w @ x, lower=True)
-    out = x.T if values.ndim > 1 else x
-    return _rewrap(template, out)
+    return x.T if values.ndim > 1 else x
 
 
-def semigroup_check(path, a: float, b: float) -> float:
+def semigroup_check(values, a: float, b: float) -> float:
     """Sup deviation of I^b(I^a f) from I^{a+b} f on the grid."""
-    values, _ = _values_of(path)
     two_step = frac_integral(frac_integral(values, a), b)
     one_step = frac_integral(values, a + b)
     return float(np.max(np.abs(two_step - one_step)))

@@ -79,7 +79,8 @@ def _trapz_pow(values: np.ndarray, p: float) -> np.ndarray:
 
 
 def batch_norms(values: np.ndarray, norm) -> np.ndarray:
-    """Norms of a batch of paths, shape (count, n) -> (count,)."""
+    """Norms of a batch of paths, shape (count, n) -> (count,); a single
+    path of shape (n,) gives shape (1,)."""
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
@@ -102,13 +103,3 @@ def batch_norms(values: np.ndarray, norm) -> np.ndarray:
             out[i] = (dx * w).max()
         return out
     raise SpecError(f"unknown norm spec {norm!r}")
-
-
-def norm_of_values(values: np.ndarray, norm) -> float:
-    """Norm of a single path given by interior values (origin implicit)."""
-    return float(batch_norms(np.asarray(values, dtype=float)[None, :], norm)[0])
-
-
-def eval_norm(path, norm) -> float:
-    """Norm of a SamplePath-like object exposing ``.values``."""
-    return norm_of_values(path.values, norm)

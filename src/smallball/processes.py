@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -30,7 +30,7 @@ MAX_CHOLESKY_N = 4096
 
 
 # ---------------------------------------------------------------------------
-# grids and paths
+# grids
 
 
 @dataclass(frozen=True)
@@ -54,34 +54,6 @@ class Grid:
     @property
     def h(self) -> float:
         return 1.0 / self.n
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    grid: Grid
-    values: np.ndarray = field(compare=False)
-
-
-class PathBatch:
-    """Batch of sample paths stored as one (count, n) array.
-
-    Behaves as a sequence of SamplePath views; bulk consumers should read
-    ``.values`` directly.
-    """
-
-    def __init__(self, grid: Grid, values: np.ndarray):
-        self.grid = grid
-        self.values = values
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __getitem__(self, i) -> SamplePath:
-        return SamplePath(self.grid, self.values[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 # ---------------------------------------------------------------------------
@@ -440,50 +412,38 @@ def sample_positive_stable(a: float, count: int, seed: int = _rng.DEFAULT_SEED):
     if not (0.0 < a < 1.0):
         raise SpecError(f"positive stable index must be in (0, 1), got {a}")
     out = np.empty(count)
-    rows = _rng.chunk_rows(4, count)
-    n_chunks = -(-count // rows)
 
-    def one(c):
-        rng = _rng.stream(seed, _rng.DOMAIN_STABLE, c)
-        k = min(rows, count - c * rows)
+    def one(rng, lo, k):
         u = np.clip(rng.uniform(0.0, 1.0, size=k), 2e-16, 1.0 - 2e-16)
         e = rng.standard_exponential(size=k)
         th = math.pi * u
-        s = (
+        out[lo : lo + k] = (
             np.sin(a * th)
             * np.sin((1.0 - a) * th) ** ((1.0 - a) / a)
             / (np.sin(th) ** (1.0 / a) * e ** ((1.0 - a) / a))
         )
-        return c, s
 
-    for c, s in _rng.map_chunks(one, n_chunks):
-        out[c * rows : c * rows + s.size] = s
+    _rng.map_rows(one, count, 4, seed, _rng.DOMAIN_STABLE)
     return out
 
 
 def sample_paths(spec, grid: Grid, count: int, seed: int = _rng.DEFAULT_SEED):
-    """Draw ``count`` paths of ``spec`` on ``grid``; reproducible in seed and
-    independent of worker count."""
+    """Draw ``count`` paths of ``spec`` on ``grid`` as a (count, grid.n)
+    array; reproducible in seed and independent of worker count."""
     if count < 1:
         raise SpecError(f"count must be >= 1, got {count}")
+    amps = None
     if isinstance(spec, StableScaledFbm):
-        amps = np.sqrt(
-            sample_positive_stable(spec.alpha / 2.0, count, seed=seed)
-        )
-        base = sample_paths(FractionalBm(spec.h), grid, count, seed=seed)
-        return PathBatch(grid, amps[:, None] * base.values)
+        amps = np.sqrt(sample_positive_stable(spec.alpha / 2.0, count, seed=seed))
+        spec = FractionalBm(spec.h)
     _require_gaussian(spec)
     if not isinstance(spec, (BrownianMotion, FractionalBm)):
         _cholesky_factor(spec, grid)  # fail fast before allocating
     values = np.empty((count, grid.n))
-    rows = _rng.chunk_rows(grid.n, count)
-    n_chunks = -(-count // rows)
 
-    def one(c):
-        rng = _rng.stream(seed, _rng.DOMAIN_PATHS, c)
-        k = min(rows, count - c * rows)
-        return c, _gaussian_chunk(spec, grid, k, rng)
+    def one(rng, lo, k):
+        block = _gaussian_chunk(spec, grid, k, rng)
+        values[lo : lo + k] = block if amps is None else amps[lo : lo + k, None] * block
 
-    for c, block in _rng.map_chunks(one, n_chunks):
-        values[c * rows : c * rows + block.shape[0]] = block
-    return PathBatch(grid, values)
+    _rng.map_rows(one, count, grid.n, seed, _rng.DOMAIN_PATHS)
+    return values

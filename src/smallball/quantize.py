@@ -189,17 +189,13 @@ def quant_error(
         for cb in quantizer.codebooks
     ]
     active = [k for k in range(d) if quantizer.levels[k] > 1]
-    rows = _rng.chunk_rows(d, n_mc)
-    n_chunks = -(-n_mc // rows)
 
-    def work(c):
-        rng = _rng.stream(seed, _rng.DOMAIN_QUANT, c)
-        k_rows = min(rows, n_mc - c * rows)
-        d2 = _chunk_d2(rng, k_rows, quantizer, mids, active)
-        return float(d2.sum()), float((d2 * d2).sum()), k_rows
+    def work(rng, lo, k):
+        d2 = _chunk_d2(rng, k, quantizer, mids, active)
+        return float(d2.sum()), float((d2 * d2).sum())
 
     s1 = s2 = 0.0
-    for a, b, _k in _rng.map_chunks(work, n_chunks):
+    for a, b in _rng.map_rows(work, n_mc, d, seed, _rng.DOMAIN_QUANT):
         s1 += a
         s2 += b
     mean = s1 / n_mc

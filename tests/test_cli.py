@@ -102,6 +102,14 @@ def test_config_must_be_object(tmp_path, capsys):
     assert code == 1
 
 
+def test_bad_thread_count_is_spec_error(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, {"process": BM, "grid_n": 16, "seed": 1})
+    monkeypatch.setenv("SMALLBALL_THREADS", "abc")
+    code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 1
+    assert "SMALLBALL_THREADS" in capsys.readouterr().err
+
+
 def test_chenli_unreachable_radius_is_numerics_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -284,7 +292,8 @@ def test_byte_identical_across_runs_and_threads(tmp_path, monkeypatch):
         "process": BM,
         "norm": L2,
         "eps": [0.8, 0.5],
-        "n_samples": 2000,
+        # 3 chunks of Grid(256) rows, so the threaded run uses the pool
+        "n_samples": 20000,
         "grid_n": 256,
         "seed": 13,
     }

@@ -22,7 +22,13 @@ from smallball.estimation import (
     transfer_bound,
 )
 from smallball.norms import Holder, L2Squared, Lp
-from smallball.processes import BrownianMotion, Grid
+from smallball.processes import (
+    BrownianMotion,
+    FractionalBm,
+    Grid,
+    RiemannLiouville,
+    StableScaledFbm,
+)
 from smallball.spectral import (
     EigenSpectrum,
     brownian_spectrum,
@@ -111,11 +117,21 @@ def test_mc_trusted_flag_tracks_increment_scale():
 
 
 def test_mc_curve_deterministic(monkeypatch):
-    args = (BrownianMotion(), Lp(2.0), [0.6, 0.4], 2000)
-    a = mc_smallball(*args, seed=9, grid=Grid(256))
-    monkeypatch.setenv("SMALLBALL_THREADS", "3")
-    b = mc_smallball(*args, seed=9, grid=Grid(256))
-    assert a.entries == b.entries
+    # 20000 rows make 3 chunks on each grid, so map_chunks reaches the pool;
+    # one case per sampler route
+    cases = [
+        (BrownianMotion(), Lp(2.0), Grid(256)),
+        (FractionalBm(0.7), Lp(2.0), Grid(128)),
+        (RiemannLiouville(0.3), Lp(1.0), Grid(64)),
+        (StableScaledFbm(0.5, 1.0), Lp(INF), Grid(256)),
+    ]
+    for spec, norm, grid in cases:
+        args = (spec, norm, [0.6, 0.4], 20000)
+        a = mc_smallball(*args, seed=9, grid=grid)
+        for workers in ("2", "3"):
+            monkeypatch.setenv("SMALLBALL_THREADS", workers)
+            assert mc_smallball(*args, seed=9, grid=grid).entries == a.entries
+        monkeypatch.delenv("SMALLBALL_THREADS")
 
 
 def test_mc_matches_spectral_l2():

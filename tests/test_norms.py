@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smallball import Grid, Holder, L2Squared, Lp, batch_norms, beta_p, norm_of_values
+from smallball import Grid, Holder, L2Squared, Lp, batch_norms, beta_p
 from smallball.errors import SpecError
 
 RNG = np.random.default_rng(7)
@@ -53,7 +53,7 @@ def test_batch_matches_single():
     x = _paths(6)
     for norm in (Lp(2.0), Lp(math.inf), Holder(0.5), L2Squared()):
         batch = batch_norms(x, norm)
-        single = [norm_of_values(row, norm) for row in x]
+        single = [batch_norms(row, norm)[0] for row in x]
         assert np.allclose(batch, single, rtol=1e-14)
 
 
@@ -62,19 +62,19 @@ def test_l2_of_sine_is_half():
     n = 512
     t = Grid(n).points
     v = np.sin(math.pi * t)
-    assert norm_of_values(v, L2Squared()) == pytest.approx(0.5, abs=1e-13)
-    assert norm_of_values(v, Lp(2.0)) == pytest.approx(math.sqrt(0.5), abs=1e-13)
+    assert batch_norms(v, L2Squared())[0] == pytest.approx(0.5, abs=1e-13)
+    assert batch_norms(v, Lp(2.0))[0] == pytest.approx(math.sqrt(0.5), abs=1e-13)
 
 
 def test_sup_norm_is_max_abs():
     v = np.array([0.1, -2.5, 1.0])
-    assert norm_of_values(v, Lp(math.inf)) == 2.5
+    assert batch_norms(v, Lp(math.inf))[0] == 2.5
 
 
 def test_holder_of_linear_path():
     # |t - s| / |t - s|^eta maximized at the full span, origin included
     t = Grid(200).points
-    assert norm_of_values(t, Holder(0.5)) == pytest.approx(1.0, rel=1e-12)
+    assert batch_norms(t, Holder(0.5))[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_invalid_parameters_rejected():

@@ -23,7 +23,7 @@ from smallball import (
     sample_paths,
     sample_positive_stable,
 )
-from smallball import processes
+from smallball import _rng, processes
 from smallball.errors import SpecError
 from smallball.processes import _cholesky_factor
 
@@ -170,25 +170,88 @@ def test_stable_spec_has_no_covariance():
     ],
 )
 def test_sampling_smoke(spec):
-    batch = sample_paths(spec, Grid(64), 16, seed=5)
-    assert batch.values.shape == (16, 64)
-    assert np.all(np.isfinite(batch.values))
+    paths = sample_paths(spec, Grid(64), 16, seed=5)
+    assert paths.shape == (16, 64)
+    assert np.all(np.isfinite(paths))
+
+
+def _positive_stable_reference(a, count, seed):
+    """sample_positive_stable's own chunk loop before ``_rng.map_rows``: the
+    reference its stream must reproduce bit for bit."""
+    out = np.empty(count)
+    rows = _rng.chunk_rows(4, count)
+    n_chunks = -(-count // rows)
+
+    def one(c):
+        rng = _rng.stream(seed, _rng.DOMAIN_STABLE, c)
+        k = min(rows, count - c * rows)
+        u = np.clip(rng.uniform(0.0, 1.0, size=k), 2e-16, 1.0 - 2e-16)
+        e = rng.standard_exponential(size=k)
+        th = math.pi * u
+        s = (
+            np.sin(a * th)
+            * np.sin((1.0 - a) * th) ** ((1.0 - a) / a)
+            / (np.sin(th) ** (1.0 / a) * e ** ((1.0 - a) / a))
+        )
+        return c, s
+
+    for c, s in _rng.map_chunks(one, n_chunks):
+        out[c * rows : c * rows + s.size] = s
+    return out
+
+
+def _sample_paths_reference(spec, grid, count, seed):
+    """sample_paths's own chunk loop before ``_rng.map_rows``, stable branch
+    included: the reference its streams must reproduce bit for bit."""
+    if isinstance(spec, StableScaledFbm):
+        amps = np.sqrt(_positive_stable_reference(spec.alpha / 2.0, count, seed))
+        base = _sample_paths_reference(FractionalBm(spec.h), grid, count, seed)
+        return amps[:, None] * base
+    values = np.empty((count, grid.n))
+    rows = _rng.chunk_rows(grid.n, count)
+    n_chunks = -(-count // rows)
+
+    def one(c):
+        rng = _rng.stream(seed, _rng.DOMAIN_PATHS, c)
+        k = min(rows, count - c * rows)
+        return c, processes._gaussian_chunk(spec, grid, k, rng)
+
+    for c, block in _rng.map_chunks(one, n_chunks):
+        values[c * rows : c * rows + block.shape[0]] = block
+    return values
+
+
+# one spec per sampler route; 20000 rows on these grids make 3 chunks
+ROUTES = {
+    "cumsum": (BrownianMotion(), Grid(128)),
+    "circulant": (FractionalBm(0.7), Grid(128)),
+    "cholesky": (RiemannLiouville(0.3), Grid(64)),
+    "stable": (StableScaledFbm(0.6, 1.2), Grid(128)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("count", [1, 300, 8193, 20000])
+def test_sample_paths_matches_chunk_loop_bitwise(route, count):
+    spec, g = ROUTES[route]
+    ref = _sample_paths_reference(spec, g, count, 42)
+    assert np.array_equal(sample_paths(spec, g, count, seed=42), ref)
 
 
 def test_sampling_deterministic_and_thread_invariant(monkeypatch):
-    g = Grid(128)
-    spec = FractionalBm(0.7)
-    a = sample_paths(spec, g, 300, seed=42).values
-    b = sample_paths(spec, g, 300, seed=42).values
-    assert np.array_equal(a, b)
-    monkeypatch.setenv("SMALLBALL_THREADS", "3")
-    c = sample_paths(spec, g, 300, seed=42).values
-    assert np.array_equal(a, c)
+    for spec, g in ROUTES.values():
+        assert -(-20000 // _rng.chunk_rows(g.n, 20000)) == 3
+        a = sample_paths(spec, g, 20000, seed=42)
+        assert np.array_equal(a, sample_paths(spec, g, 20000, seed=42))
+        for workers in ("2", "3"):
+            monkeypatch.setenv("SMALLBALL_THREADS", workers)
+            assert np.array_equal(a, sample_paths(spec, g, 20000, seed=42))
+        monkeypatch.delenv("SMALLBALL_THREADS")
 
 
 def test_circulant_fgn_is_distributionally_right():
     h, n, count = 0.7, 64, 40000
-    vals = sample_paths(FractionalBm(h), Grid(n), count, seed=9).values
+    vals = sample_paths(FractionalBm(h), Grid(n), count, seed=9)
     inc = np.diff(vals, axis=1, prepend=0.0)
     step_var = inc.var(axis=0).mean()
     assert step_var == pytest.approx((1.0 / n) ** (2 * h), rel=0.03)
@@ -200,7 +263,7 @@ def test_circulant_fgn_is_distributionally_right():
 
 def test_cholesky_marginal_variance():
     spec = RiemannLiouville(0.3)
-    vals = sample_paths(spec, Grid(64), 20000, seed=17).values
+    vals = sample_paths(spec, Grid(64), 20000, seed=17)
     v_hat = vals[:, -1].var()
     v = covariance(spec, 1.0, 1.0)
     assert v_hat == pytest.approx(float(v), rel=0.05)
@@ -215,6 +278,14 @@ def test_stable_sampler_laplace_transform(alpha):
     assert abs(vals.mean() - math.exp(-1.0)) <= 4.0 * se
 
 
+def test_stable_sampler_matches_chunk_loop_over_workers(monkeypatch):
+    # 200000 draws of 4 columns make 25 chunks, so the pool is compared
+    ref = _positive_stable_reference(0.5, 200000, 5)
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMALLBALL_THREADS", workers)
+        assert np.array_equal(sample_positive_stable(0.5, 200000, seed=5), ref)
+
+
 def test_stable_half_median():
     # Levy(1/2): median = 1 / (2 erfcinv(1/2)^2)
     s = sample_positive_stable(0.5, 200000, seed=31)
@@ -222,9 +293,9 @@ def test_stable_half_median():
 
 
 def test_stable_scaled_paths_sample():
-    batch = sample_paths(StableScaledFbm(0.5, 1.0), Grid(64), 500, seed=3)
-    assert batch.values.shape == (500, 64)
-    assert np.all(np.isfinite(batch.values))
+    paths = sample_paths(StableScaledFbm(0.5, 1.0), Grid(64), 500, seed=3)
+    assert paths.shape == (500, 64)
+    assert np.all(np.isfinite(paths))
 
 
 @pytest.mark.parametrize("h", [0.3, 0.7])

@@ -1,0 +1,42 @@
+"""Seeded chunk plumbing: the row-chunk rule and the worker count."""
+
+import numpy as np
+import pytest
+
+from smallball import _rng
+from smallball.errors import SpecError
+
+
+def test_map_rows_chunks_and_streams(monkeypatch):
+    # 8192 rows per chunk of 128 columns; 20001 is not a multiple of it
+    count, n_cols, seed, domain = 20001, 128, 5, _rng.DOMAIN_PATHS
+    assert _rng.chunk_rows(n_cols, count) == 8192
+
+    def fn(rng, lo, k):
+        return lo, k, rng.standard_normal(3)
+
+    for workers in ("1", "3"):
+        monkeypatch.setenv("SMALLBALL_THREADS", workers)
+        got = _rng.map_rows(fn, count, n_cols, seed, domain)
+        assert [(lo, k) for lo, k, _ in got] == [(0, 8192), (8192, 8192), (16384, 3617)]
+        for c, (_lo, _k, draws) in enumerate(got):
+            ref = _rng.stream(seed, domain, c).standard_normal(3)
+            assert np.array_equal(draws, ref)
+
+
+def test_map_rows_empty_count_draws_nothing():
+    assert _rng.map_rows(lambda rng, lo, k: k, 0, 4, 1, _rng.DOMAIN_STABLE) == []
+
+
+def test_worker_count_default_and_value(monkeypatch):
+    monkeypatch.delenv("SMALLBALL_THREADS", raising=False)
+    assert _rng.worker_count() == 1
+    monkeypatch.setenv("SMALLBALL_THREADS", "3")
+    assert _rng.worker_count() == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_worker_count_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("SMALLBALL_THREADS", value)
+    with pytest.raises(SpecError, match=repr(value)):
+        _rng.worker_count()
