@@ -32,7 +32,9 @@ def stream(seed: int, domain: int, chunk: int) -> np.random.Generator:
 
 
 def chunk_rows(n_cols: int, total_rows: int) -> int:
-    """Rows per chunk, sized so one chunk is ~1 GiB of float64 at most."""
+    """Rows per chunk: at most 8192 and at most ``total_rows``, and few
+    enough that a chunk of float64 holds at most 128 MiB
+    (rows * n_cols * 8 <= 2**27 bytes)."""
     rows = int(2**27 // max(8 * n_cols, 1))
     return int(np.clip(rows, 1, min(8192, max(total_rows, 1))))
 

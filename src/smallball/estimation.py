@@ -36,6 +36,7 @@ from .processes import (
     Grid,
     StableScaledFbm,
     _gaussian_chunk,
+    _path_blocks,
     _require_gaussian,
     effective_hurst,
     sample_positive_stable,
@@ -130,15 +131,17 @@ def mc_smallball(
     incs_all = np.empty(n_samples)
 
     def work(rng, lo, k):
-        vals = _gaussian_chunk(gauss_spec, grid, k, rng)
-        if amps is not None:
-            vals = vals * amps[lo : lo + k, None]
-        norms_all[lo : lo + k] = batch_norms(vals, norm)
-        # max |increment| from the origin on, in one temporary
-        d = np.subtract(vals[:, 1:], vals[:, :-1])
-        np.abs(d, out=d)
-        inc = d.max(axis=1, initial=0.0)
-        incs_all[lo : lo + k] = np.maximum(inc, np.abs(vals[:, 0]))
+        # one row block at a time, drawn through this module's _gaussian_chunk
+        for a, b, vals in _path_blocks(gauss_spec, grid, k, rng, _gaussian_chunk):
+            rows = slice(lo + a, lo + b)
+            if amps is not None:
+                vals *= amps[rows, None]
+            norms_all[rows] = batch_norms(vals, norm)
+            # max |increment| from the origin on, in one temporary
+            d = np.subtract(vals[:, 1:], vals[:, :-1])
+            np.abs(d, out=d)
+            inc = d.max(axis=1, initial=0.0)
+            incs_all[rows] = np.maximum(inc, np.abs(vals[:, 0]))
 
     _rng.map_rows(work, n_samples, grid.n, seed, _rng.DOMAIN_PATHS)
 

@@ -375,7 +375,34 @@ def _cholesky_factor(spec, grid: Grid) -> np.ndarray:
     return fac
 
 
-def _fgn_circulant_eigs(h: float, n: int) -> np.ndarray:
+def _route(spec) -> str:
+    if isinstance(spec, BrownianMotion) or (
+        isinstance(spec, FractionalBm) and spec.h == 0.5
+    ):
+        return "cumsum"
+    if isinstance(spec, FractionalBm):
+        return "circulant"
+    return "cholesky"
+
+
+# Row blocks of one chunk hold about BLOCK_ELEMS values on the elementwise
+# routes.  The Cholesky route takes blocks of at least CHOLESKY_BLOCK_ELEMS
+# values in multiples of 16 rows: smaller GEMMs contend for BLAS threads, and
+# a one-row product goes to gemv, whose sums differ from GEMM's.
+BLOCK_ELEMS = 2**16
+CHOLESKY_BLOCK_ELEMS = 2**19
+
+
+def _block_rows(spec, n: int) -> int:
+    if _route(spec) == "cholesky":
+        return 16 * -(-CHOLESKY_BLOCK_ELEMS // (16 * n))
+    return max(1, BLOCK_ELEMS // n)
+
+
+@memo
+def _fgn_circulant_sqrt_eigs(h: float, n: int) -> np.ndarray:
+    """Square roots of the circulant embedding's eigenvalues for fGn(h) on n
+    steps; size 2n."""
     k = np.arange(n + 1, dtype=float)
     e = 2.0 * h
     g = 0.5 * ((k + 1.0) ** e - 2.0 * k**e + np.abs(k - 1.0) ** e)
@@ -383,28 +410,50 @@ def _fgn_circulant_eigs(h: float, n: int) -> np.ndarray:
     eig = np.fft.fft(c).real
     if eig.min() < -1e-9 * eig.max():
         raise NumericsError(f"circulant embedding failed for h={h}")
-    return np.maximum(eig, 0.0)
+    return np.sqrt(np.maximum(eig, 0.0))
 
 
-def _gaussian_chunk(spec, grid: Grid, rows: int, rng) -> np.ndarray:
+def _gaussian_chunk(spec, grid: Grid, rows: int, rng, re) -> np.ndarray:
+    """``rows`` paths of a Gaussian spec drawn from rng.  On the circulant
+    route ``re`` holds the rows' real parts, drawn before, and rng gives the
+    imaginary parts; the other routes take None."""
     n = grid.n
-    if isinstance(spec, BrownianMotion) or (
-        isinstance(spec, FractionalBm) and spec.h == 0.5
-    ):
+    route = _route(spec)
+    if route == "cumsum":
         z = rng.standard_normal((rows, n))
         np.cumsum(z, axis=1, out=z)
         z *= n**-0.5
         return z
-    if isinstance(spec, FractionalBm):
-        eig = _fgn_circulant_eigs(spec.h, n)
-        m = eig.size
-        wz = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
-        x = np.fft.ifft(np.sqrt(eig) * wz, axis=1).real * math.sqrt(m)
+    if route == "circulant":
+        sq = _fgn_circulant_sqrt_eigs(spec.h, n)
+        m = sq.size
+        wz = re + 1j * rng.standard_normal((rows, m))
+        x = np.fft.ifft(sq * wz, axis=1).real * math.sqrt(m)
         fgn = x[:, :n] * grid.h**spec.h
         return np.cumsum(fgn, axis=1)
     fac = _cholesky_factor(spec, grid)
     z = rng.standard_normal((rows, n))
     return z @ fac.T
+
+
+def _path_blocks(spec, grid: Grid, k: int, rng, chunk=_gaussian_chunk):
+    """Yield (lo, hi, values) over the row blocks of a k-row chunk drawn
+    from rng, values being rows [lo, hi) of the chunk drawn in one go, to
+    the bit, built with O(block x n) memory; ``chunk`` is ``_gaussian_chunk``
+    or a caller's binding of it.
+
+    The cumsum and Cholesky routes draw rows in C order, so consecutive
+    blocks take consecutive normals.  The circulant route draws every real
+    part of the chunk before any imaginary part, so its (k, 2n) real parts
+    are drawn first; the FFT, scaling and cumsum are row-local.
+    """
+    n = grid.n
+    re = rng.standard_normal((k, 2 * n)) if _route(spec) == "circulant" else None
+    cuts = list(range(0, k, _block_rows(spec, n)))
+    if len(cuts) > 1 and k - cuts[-1] == 1:
+        cuts.pop()  # a lone last row joins the block before it
+    for lo, hi in zip(cuts, cuts[1:] + [k]):
+        yield lo, hi, chunk(spec, grid, hi - lo, rng, None if re is None else re[lo:hi])
 
 
 def sample_positive_stable(a: float, count: int, seed: int = _rng.DEFAULT_SEED):
@@ -442,8 +491,12 @@ def sample_paths(spec, grid: Grid, count: int, seed: int = _rng.DEFAULT_SEED):
     values = np.empty((count, grid.n))
 
     def one(rng, lo, k):
-        block = _gaussian_chunk(spec, grid, k, rng)
-        values[lo : lo + k] = block if amps is None else amps[lo : lo + k, None] * block
+        for a, b, block in _path_blocks(spec, grid, k, rng):
+            rows = slice(lo + a, lo + b)
+            if amps is None:
+                values[rows] = block
+            else:
+                np.multiply(amps[rows, None], block, out=values[rows])
 
     _rng.map_rows(one, count, grid.n, seed, _rng.DOMAIN_PATHS)
     return values

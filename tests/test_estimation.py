@@ -1,10 +1,12 @@
 """Small-ball curves, rate-law fitting, and the transfer arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from smallball import _rng
 from smallball.errors import EmptyCurveError, FitDegenerateError, SpecError
 from smallball.estimation import (
     ConverseLaw,
@@ -21,7 +23,7 @@ from smallball.estimation import (
     spectral_smallball_curve,
     transfer_bound,
 )
-from smallball.norms import Holder, L2Squared, Lp
+from smallball.norms import Holder, L2Squared, Lp, batch_norms
 from smallball.processes import (
     BrownianMotion,
     FractionalBm,
@@ -34,6 +36,13 @@ from smallball.spectral import (
     brownian_spectrum,
     integrated_brownian_spectrum,
     l2_smallball,
+)
+
+from test_processes import (
+    ROUTES,
+    _gaussian_chunk_reference,
+    _positive_stable_reference,
+    one_row_tail_count,
 )
 
 INF = float("inf")
@@ -132,6 +141,92 @@ def test_mc_curve_deterministic(monkeypatch):
             monkeypatch.setenv("SMALLBALL_THREADS", workers)
             assert mc_smallball(*args, seed=9, grid=grid).entries == a.entries
         monkeypatch.delenv("SMALLBALL_THREADS")
+
+
+def _mc_entries_reference(spec, norm, eps, count, seed, grid):
+    """(hits, -log p, stderr, trusted) per radius from mc_smallball's
+    whole-chunk body before row blocks, frozen here; None when no radius has
+    a hit."""
+    amps = None
+    if isinstance(spec, StableScaledFbm):
+        amps = np.sqrt(_positive_stable_reference(spec.alpha / 2.0, count, seed))
+        spec = FractionalBm(spec.h)
+    norms_all = np.empty(count)
+    incs_all = np.empty(count)
+    rows = _rng.chunk_rows(grid.n, count)
+    for c in range(-(-count // rows)):
+        lo = c * rows
+        k = min(rows, count - lo)
+        vals = _gaussian_chunk_reference(spec, grid, k, _rng.stream(seed, _rng.DOMAIN_PATHS, c))
+        if amps is not None:
+            vals = vals * amps[lo : lo + k, None]
+        norms_all[lo : lo + k] = batch_norms(vals, norm)
+        d = np.subtract(vals[:, 1:], vals[:, :-1])
+        np.abs(d, out=d)
+        inc = d.max(axis=1, initial=0.0)
+        incs_all[lo : lo + k] = np.maximum(inc, np.abs(vals[:, 0]))
+    norms_all.sort()
+    hits = np.searchsorted(norms_all, eps, side="right")
+    if hits.max() == 0:
+        return None
+    inc_scale = float(np.median(incs_all))
+    out = []
+    for e, h in zip(eps, hits):
+        if h == 0:
+            out.append((0, math.inf, math.inf, False))
+            continue
+        p = h / count
+        out.append(
+            (int(h), -math.log(p), math.sqrt((1.0 - p) / (count * p)), bool(e >= 5.0 * inc_scale))
+        )
+    return out
+
+
+MC_NORMS = {
+    "sup": (Lp(INF), [4.0, 1.0, 0.7, 0.5]),
+    "l2": (Lp(2.0), [4.0, 0.6, 0.4, 0.3]),
+    "holder": (Holder(0.25), [9.0, 2.4, 1.7, 1.3]),
+}
+
+
+@pytest.mark.parametrize("norm_key", sorted(MC_NORMS))
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("count", [1, 2, 17, 8193, 20000, "tail"])
+def test_mc_smallball_matches_chunk_body_bitwise(count, route, norm_key, monkeypatch):
+    spec, grid = ROUTES[route]
+    norm, eps = MC_NORMS[norm_key]
+    if norm_key == "holder":
+        # the Holder norm scans all grid pairs of each row; on 72 points a
+        # Cholesky chunk still spans two row blocks
+        grid = Grid(72)
+    if count == "tail":
+        count = one_row_tail_count(spec, grid)
+    ref = _mc_entries_reference(spec, norm, np.array(eps), count, 5, grid)
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMALLBALL_THREADS", workers)
+        if ref is None:
+            with pytest.raises(EmptyCurveError):
+                mc_smallball(spec, norm, eps, count, seed=5, grid=grid)
+            continue
+        curve = mc_smallball(spec, norm, eps, count, seed=5, grid=grid)
+        got = [(e.n_hits, e.neg_log_p, e.stderr, e.trusted) for e in curve.entries]
+        assert got == ref
+
+
+@pytest.mark.parametrize(
+    "spec, n, limit_mib",
+    # one worker holds one row block, not a chunk of 8192 rows (64 and 32
+    # MiB per temporary on these grids)
+    [(BrownianMotion(), 1024, 8), (RiemannLiouville(0.5), 512, 24)],
+)
+def test_mc_smallball_memory_is_per_block(spec, n, limit_mib):
+    tracemalloc.start()
+    try:
+        mc_smallball(spec, Lp(INF), [1.0, 0.5], 20000, seed=3, grid=Grid(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 def test_mc_matches_spectral_l2():

@@ -200,42 +200,79 @@ def _positive_stable_reference(a, count, seed):
     return out
 
 
+def _gaussian_chunk_reference(spec, grid, rows, rng):
+    """The whole-chunk path sampler before row blocks, frozen here: the
+    reference the block stream must reproduce bit for bit."""
+    n = grid.n
+    if isinstance(spec, BrownianMotion) or (
+        isinstance(spec, FractionalBm) and spec.h == 0.5
+    ):
+        z = rng.standard_normal((rows, n))
+        np.cumsum(z, axis=1, out=z)
+        z *= n**-0.5
+        return z
+    if isinstance(spec, FractionalBm):
+        k = np.arange(n + 1, dtype=float)
+        e = 2.0 * spec.h
+        g = 0.5 * ((k + 1.0) ** e - 2.0 * k**e + np.abs(k - 1.0) ** e)
+        c = np.concatenate([g[:n], g[n : n + 1], g[n - 1 : 0 : -1]])
+        eig = np.maximum(np.fft.fft(c).real, 0.0)
+        m = eig.size
+        wz = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+        x = np.fft.ifft(np.sqrt(eig) * wz, axis=1).real * math.sqrt(m)
+        fgn = x[:, :n] * grid.h**spec.h
+        return np.cumsum(fgn, axis=1)
+    fac = _cholesky_factor(spec, grid)
+    z = rng.standard_normal((rows, n))
+    return z @ fac.T
+
+
 def _sample_paths_reference(spec, grid, count, seed):
-    """sample_paths's own chunk loop before ``_rng.map_rows``, stable branch
-    included: the reference its streams must reproduce bit for bit."""
+    """sample_paths's own chunk loop before ``_rng.map_rows`` and row blocks,
+    stable branch included: the reference its streams must reproduce bit for
+    bit."""
     if isinstance(spec, StableScaledFbm):
         amps = np.sqrt(_positive_stable_reference(spec.alpha / 2.0, count, seed))
         base = _sample_paths_reference(FractionalBm(spec.h), grid, count, seed)
         return amps[:, None] * base
     values = np.empty((count, grid.n))
     rows = _rng.chunk_rows(grid.n, count)
-    n_chunks = -(-count // rows)
-
-    def one(c):
+    for c in range(-(-count // rows)):
         rng = _rng.stream(seed, _rng.DOMAIN_PATHS, c)
         k = min(rows, count - c * rows)
-        return c, processes._gaussian_chunk(spec, grid, k, rng)
-
-    for c, block in _rng.map_chunks(one, n_chunks):
-        values[c * rows : c * rows + block.shape[0]] = block
+        values[c * rows : c * rows + k] = _gaussian_chunk_reference(spec, grid, k, rng)
     return values
 
 
-# one spec per sampler route; 20000 rows on these grids make 3 chunks
+# one spec per sampler route; 20000 rows on these grids make 3 chunks, and
+# each chunk of 8192 rows spans several row blocks
 ROUTES = {
     "cumsum": (BrownianMotion(), Grid(128)),
     "circulant": (FractionalBm(0.7), Grid(128)),
-    "cholesky": (RiemannLiouville(0.3), Grid(64)),
+    "cholesky": (RiemannLiouville(0.3), Grid(256)),
     "stable": (StableScaledFbm(0.6, 1.2), Grid(128)),
 }
 
 
+def one_row_tail_count(spec, grid):
+    """A one-chunk count whose last row block would hold a single row."""
+    if isinstance(spec, StableScaledFbm):
+        spec = FractionalBm(spec.h)
+    count = processes._block_rows(spec, grid.n) + 1
+    assert count < _rng.chunk_rows(grid.n, 20000)
+    return count
+
+
 @pytest.mark.parametrize("route", sorted(ROUTES))
-@pytest.mark.parametrize("count", [1, 300, 8193, 20000])
-def test_sample_paths_matches_chunk_loop_bitwise(route, count):
+@pytest.mark.parametrize("count", [1, 2, 17, 300, 8193, 20000, "tail"])
+def test_sample_paths_matches_chunk_loop_bitwise(route, count, monkeypatch):
     spec, g = ROUTES[route]
+    if count == "tail":
+        count = one_row_tail_count(spec, g)
     ref = _sample_paths_reference(spec, g, count, 42)
-    assert np.array_equal(sample_paths(spec, g, count, seed=42), ref)
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SMALLBALL_THREADS", workers)
+        assert np.array_equal(sample_paths(spec, g, count, seed=42), ref)
 
 
 def test_sampling_deterministic_and_thread_invariant(monkeypatch):
