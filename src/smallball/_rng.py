@@ -1,9 +1,12 @@
 """Deterministic random-stream plumbing.
 
-Every stochastic routine draws through ``map_rows``, which splits the work
-into chunks of whole sample rows; chunk c always consumes the generator
+Every seeded Monte Carlo loop draws through ``map_rows``, which splits the
+work into chunks of whole sample rows; chunk c always consumes the generator
 ``stream(seed, domain, c)`` regardless of how many workers execute the
-chunks, so results are bitwise reproducible across worker counts.
+chunks, so results are bitwise reproducible across worker counts.  Two
+draws do not: the fixed-seed fallback loop of ``spectral`` for spectra of
+fewer than 32 modes (``_MC_FALLBACK_SEED``) and the ``norm_homogeneity``
+check of the command line's ``verify-all``, each a single local generator.
 """
 from __future__ import annotations
 
@@ -16,19 +19,23 @@ from .errors import SpecError
 
 DEFAULT_SEED = 20090520
 
-# domain tags; keep stable forever, appending only
+# domain tags; keep stable forever, appending only.  3, 5 and 6 are
+# retired (once DOMAIN_MC, DOMAIN_CHENLI_LHS, DOMAIN_CHENLI_RHS): never reuse
 DOMAIN_PATHS = 1
 DOMAIN_STABLE = 2
-DOMAIN_MC = 3
 DOMAIN_QUANT = 4
-DOMAIN_CHENLI_LHS = 5
-DOMAIN_CHENLI_RHS = 6
 
 
 def stream(seed: int, domain: int, chunk: int) -> np.random.Generator:
     """Independent generator for one (domain, chunk) cell of a run."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(domain), int(chunk)))
     return np.random.default_rng(ss)
+
+
+def child_seed(seed: int, tag: int) -> int:
+    """Seed of side loop ``tag`` of a seeded run, under spawn key (97, tag)."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(97, int(tag)))
+    return int(ss.generate_state(1)[0])
 
 
 def chunk_rows(n_cols: int, total_rows: int) -> int:
@@ -79,3 +86,13 @@ def map_rows(fn, count: int, n_cols: int, seed: int, domain: int):
         return fn(stream(seed, domain, c), lo, min(rows, count - lo))
 
     return map_chunks(one, -(-count // rows))
+
+
+def row_blocks(k: int, rows: int):
+    """(lo, hi) blocks tiling [0, k): every block but the last holds
+    ``rows`` rows, and a lone last row joins the block before it, since BLAS
+    sends a one-row product to another kernel, whose sums differ."""
+    cuts = list(range(0, k, rows))
+    if len(cuts) > 1 and k - cuts[-1] == 1:
+        cuts.pop()
+    return list(zip(cuts, cuts[1:] + [k]))

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import _rng
 from .errors import SpecError
 from .estimation import (
@@ -44,12 +42,6 @@ from .spectral import (
 
 _SPECTRUM_GRID = 1024
 _SPECTRUM_MODES = 4096
-
-
-def _child_seed(seed: int, tag: int) -> int:
-    # decouple the two Monte Carlo sides deterministically
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(97, int(tag)))
-    return int(ss.generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -119,12 +111,7 @@ def _comparison_prob(comparison, norm, radius: float, n_samples: int, seed: int)
         norm.p
     ):
         return brownian_sup_prob(radius), 0.0
-    curve = mc_smallball(comparison, norm, [radius], n_samples, seed=seed)
-    e = curve.entries[0]
-    if not e.usable:
-        return 0.0, 0.0
-    p = math.exp(-e.neg_log_p)
-    return p, p * e.stderr
+    return mc_smallball(comparison, norm, [radius], n_samples, seed=seed).entries[0].prob
 
 
 def chenli_bound(
@@ -134,17 +121,13 @@ def chenli_bound(
     grid: Optional[Grid] = None,
 ) -> ChenLiResult:
     """Evaluate both sides of the product lower bound at (eps, lam)."""
+    # the two Monte Carlo sides draw from decoupled child seeds
     lhs_curve = mc_smallball(
-        q.target, q.norm, [q.eps], n_samples, seed=_child_seed(seed, 0), grid=grid
+        q.target, q.norm, [q.eps], n_samples, seed=_rng.child_seed(seed, 0), grid=grid
     )
-    e = lhs_curve.entries[0]
-    if e.usable:
-        lhs = math.exp(-e.neg_log_p)
-        lhs_se = lhs * e.stderr
-    else:
-        lhs, lhs_se = 0.0, 0.0
+    lhs, lhs_se = lhs_curve.entries[0].prob
     comp_p, _comp_se = _comparison_prob(
-        q.comparison, q.norm, q.lam * q.eps, n_samples, _child_seed(seed, 1)
+        q.comparison, q.norm, q.lam * q.eps, n_samples, _rng.child_seed(seed, 1)
     )
     lap = laplace_transform_l2(derivative_spectrum(q.target, q.m), q.lam)
     rhs = comp_p * lap
@@ -217,8 +200,9 @@ def remainder_term_check(
     if not (z_order > 0.0):
         raise SpecError(f"smooth-part order must be > 0, got {z_order}")
     eps_list = list(eps_list)  # both curves read it
-    cx = mc_smallball(x_spec, norm, eps_list, n_samples, _child_seed(seed, 2), grid=grid)
-    cy = mc_smallball(y_spec, norm, eps_list, n_samples, _child_seed(seed, 3), grid=grid)
+    sx_seed, sy_seed = (_rng.child_seed(seed, tag) for tag in (2, 3))
+    cx = mc_smallball(x_spec, norm, eps_list, n_samples, sx_seed, grid=grid)
+    cy = mc_smallball(y_spec, norm, eps_list, n_samples, sy_seed, grid=grid)
     fx = rate_fit(cx, theta_fixed=0.0)
     fy = rate_fit(cy, theta_fixed=0.0)
     sx, sy = 1.0 / fx.tau, 1.0 / fy.tau

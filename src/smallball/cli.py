@@ -351,9 +351,7 @@ def _verify_all(cfg, out):
     curve = mc_smallball(
         BrownianMotion(), Lp(math.inf), [1.0], 5000, seed=seed, grid=Grid(65536)
     )
-    e = curve.entries[0]
-    p_hat = math.exp(-e.neg_log_p)
-    se_p = p_hat * e.stderr
+    p_hat, se_p = curve.entries[0].prob
     gap = abs(p_hat - brownian_sup_prob(1.0))
     record("supnorm_level", gap, 3.0 * se_p, gap <= 3.0 * se_p)
 

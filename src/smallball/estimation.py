@@ -30,15 +30,12 @@ from scipy.stats import norm as _normdist
 from . import _rng
 from ._lsq import gauss_newton
 from .errors import EmptyCurveError, FitDegenerateError, NumericsError, SpecError
-from .norms import _regularity_gap, batch_norms, beta_p
+from .norms import Lp, _regularity_gap, batch_norms, beta_p
 from .processes import (
-    FractionalBm,
     Grid,
-    StableScaledFbm,
     _gaussian_chunk,
-    _path_blocks,
-    _require_gaussian,
     effective_hurst,
+    map_paths,
     sample_positive_stable,
 )
 from .spectral import EigenSpectrum, l2_smallball
@@ -59,6 +56,14 @@ class CurveEntry:
     usable: bool
     trusted: bool
     method: str
+
+    @property
+    def prob(self) -> tuple:
+        """(p, stderr of p) by the delta method; (0, 0) when unusable."""
+        if not self.usable:
+            return 0.0, 0.0
+        p = math.exp(-self.neg_log_p)
+        return p, p * self.stderr
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,16 @@ class SmallBallCurve:
         return np.array([e.neg_log_p for e in self.entries])
 
 
+def _radii(eps_list) -> list:
+    """Radii as floats, read once (a generator works), checked positive and
+    distinct, sorted decreasing."""
+    eps_list = [float(e) for e in eps_list]
+    eps = sorted(set(eps_list), reverse=True)
+    if not eps or len(eps) != len(eps_list) or not all(e > 0.0 for e in eps):
+        raise SpecError(f"need distinct positive radii, got {eps_list}")
+    return eps
+
+
 def _policy_grid(spec, eps_min: float) -> Grid:
     h = effective_hurst(spec)
     if h >= 0.5:
@@ -109,41 +124,23 @@ def mc_smallball(
     False when eps is within 5 median max-increments of the discretisation
     scale (the curve is then dominated by grid bias, not the process).
     """
-    eps_list = [float(e) for e in eps_list]  # a generator is read once
-    eps = np.asarray(sorted(set(eps_list), reverse=True))
-    if eps.size != len(eps_list):
-        raise SpecError("radius list must not contain duplicates")
-    if np.any(eps <= 0.0):
-        raise SpecError("radii must be positive")
-    if n_samples < 1:
-        raise SpecError("n_samples must be >= 1")
+    eps = np.asarray(_radii(eps_list))
     if grid is None:
         grid = _policy_grid(spec, float(eps.min()))
+    norms_all = np.empty(max(n_samples, 0))  # map_paths rejects n_samples < 1
+    incs_all = np.empty_like(norms_all)
 
-    amps, gauss_spec = None, spec
-    if isinstance(spec, StableScaledFbm):
-        amps = np.sqrt(sample_positive_stable(spec.alpha / 2.0, n_samples, seed))
-        gauss_spec = FractionalBm(spec.h)
-    # fail fast on unsupported covariances before burning samples
-    _require_gaussian(gauss_spec)
+    def reduce(rows, vals):
+        norms_all[rows] = batch_norms(vals, norm)
+        # max |increment| from the origin on, in one temporary
+        d = np.subtract(vals[:, 1:], vals[:, :-1])
+        np.abs(d, out=d)
+        inc = d.max(axis=1, initial=0.0)
+        incs_all[rows] = np.maximum(inc, np.abs(vals[:, 0]))
 
-    norms_all = np.empty(n_samples)
-    incs_all = np.empty(n_samples)
-
-    def work(rng, lo, k):
-        # one row block at a time, drawn through this module's _gaussian_chunk
-        for a, b, vals in _path_blocks(gauss_spec, grid, k, rng, _gaussian_chunk):
-            rows = slice(lo + a, lo + b)
-            if amps is not None:
-                vals *= amps[rows, None]
-            norms_all[rows] = batch_norms(vals, norm)
-            # max |increment| from the origin on, in one temporary
-            d = np.subtract(vals[:, 1:], vals[:, :-1])
-            np.abs(d, out=d)
-            inc = d.max(axis=1, initial=0.0)
-            incs_all[rows] = np.maximum(inc, np.abs(vals[:, 0]))
-
-    _rng.map_rows(work, n_samples, grid.n, seed, _rng.DOMAIN_PATHS)
+    # this module's sampler bindings, so that each block's draw is one
+    # estimation._gaussian_chunk call
+    map_paths(spec, grid, n_samples, seed, reduce, _gaussian_chunk, sample_positive_stable)
 
     norms_all.sort()
     hits = np.searchsorted(norms_all, eps, side="right")
@@ -171,12 +168,9 @@ def mc_smallball(
 
 def spectral_smallball_curve(spectrum: EigenSpectrum, eps_list) -> SmallBallCurve:
     """Exact-method curve from the spectral evaluator (stderr 0)."""
-    from .norms import Lp
-
-    eps = sorted(set(float(e) for e in eps_list), reverse=True)
     entries = tuple(
         CurveEntry(e, l2_smallball(spectrum, e), 0.0, None, True, True, "saddle")
-        for e in eps
+        for e in _radii(eps_list)
     )
     return SmallBallCurve(entries, Lp(2.0), spec=None, n_samples=None, grid_n=None)
 

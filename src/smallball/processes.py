@@ -436,26 +436,6 @@ def _gaussian_chunk(spec, grid: Grid, rows: int, rng, re) -> np.ndarray:
     return z @ fac.T
 
 
-def _path_blocks(spec, grid: Grid, k: int, rng, chunk=_gaussian_chunk):
-    """Yield (lo, hi, values) over the row blocks of a k-row chunk drawn
-    from rng, values being rows [lo, hi) of the chunk drawn in one go, to
-    the bit, built with O(block x n) memory; ``chunk`` is ``_gaussian_chunk``
-    or a caller's binding of it.
-
-    The cumsum and Cholesky routes draw rows in C order, so consecutive
-    blocks take consecutive normals.  The circulant route draws every real
-    part of the chunk before any imaginary part, so its (k, 2n) real parts
-    are drawn first; the FFT, scaling and cumsum are row-local.
-    """
-    n = grid.n
-    re = rng.standard_normal((k, 2 * n)) if _route(spec) == "circulant" else None
-    cuts = list(range(0, k, _block_rows(spec, n)))
-    if len(cuts) > 1 and k - cuts[-1] == 1:
-        cuts.pop()  # a lone last row joins the block before it
-    for lo, hi in zip(cuts, cuts[1:] + [k]):
-        yield lo, hi, chunk(spec, grid, hi - lo, rng, None if re is None else re[lo:hi])
-
-
 def sample_positive_stable(a: float, count: int, seed: int = _rng.DEFAULT_SEED):
     """Positive a-stable draws with Laplace transform exp(-u^a), 0 < a < 1."""
     if not (0.0 < a < 1.0):
@@ -476,27 +456,47 @@ def sample_positive_stable(a: float, count: int, seed: int = _rng.DEFAULT_SEED):
     return out
 
 
-def sample_paths(spec, grid: Grid, count: int, seed: int = _rng.DEFAULT_SEED):
-    """Draw ``count`` paths of ``spec`` on ``grid`` as a (count, grid.n)
-    array; reproducible in seed and independent of worker count."""
+def map_paths(
+    spec, grid, count, seed, fn, chunk=_gaussian_chunk, stable=sample_positive_stable
+):
+    """Call fn(rows, values) once per row block of ``count`` paths of
+    ``spec`` on ``grid``, values being the paths of the slice ``rows``: the
+    bits of whole-chunk draws, whatever the worker count, with O(block x n)
+    memory.  ``chunk`` and ``stable`` are the samplers or a caller's
+    bindings of them.
+
+    Before any draw it rejects count < 1 and specs that are neither Gaussian
+    nor a stable mixture, and solves the Cholesky factor.  A stable mixture
+    scales the fBm(h) blocks in place by amplitudes sqrt(A) drawn first.
+    The circulant route draws a chunk's (k, 2n) real parts before any
+    imaginary part, as a whole-chunk draw does; the others draw in C order.
+    """
     if count < 1:
         raise SpecError(f"count must be >= 1, got {count}")
     amps = None
     if isinstance(spec, StableScaledFbm):
-        amps = np.sqrt(sample_positive_stable(spec.alpha / 2.0, count, seed=seed))
+        amps = np.sqrt(stable(spec.alpha / 2.0, count, seed))
         spec = FractionalBm(spec.h)
     _require_gaussian(spec)
-    if not isinstance(spec, (BrownianMotion, FractionalBm)):
-        _cholesky_factor(spec, grid)  # fail fast before allocating
-    values = np.empty((count, grid.n))
+    route = _route(spec)
+    if route == "cholesky":
+        _cholesky_factor(spec, grid)
 
     def one(rng, lo, k):
-        for a, b, block in _path_blocks(spec, grid, k, rng):
+        re = rng.standard_normal((k, 2 * grid.n)) if route == "circulant" else None
+        for a, b in _rng.row_blocks(k, _block_rows(spec, grid.n)):
+            block = chunk(spec, grid, b - a, rng, None if re is None else re[a:b])
             rows = slice(lo + a, lo + b)
-            if amps is None:
-                values[rows] = block
-            else:
-                np.multiply(amps[rows, None], block, out=values[rows])
+            if amps is not None:
+                block *= amps[rows, None]
+            fn(rows, block)
 
     _rng.map_rows(one, count, grid.n, seed, _rng.DOMAIN_PATHS)
+
+
+def sample_paths(spec, grid: Grid, count: int, seed: int = _rng.DEFAULT_SEED):
+    """Draw ``count`` paths of ``spec`` on ``grid`` as a (count, grid.n)
+    array; reproducible in seed and independent of worker count."""
+    values = np.empty((max(count, 0), grid.n))  # map_paths rejects count < 1
+    map_paths(spec, grid, count, seed, values.__setitem__)
     return values

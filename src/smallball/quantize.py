@@ -147,16 +147,15 @@ def _chunk_d2(rng, k_rows, quantizer, mids, active):
     matrix's last ``rows % 4`` rows in its own way, so every block but the
     last holds whole groups (a multiple of 16 rows), and a one-row product
     takes the dot kernel instead, so a last row on its own joins the block
-    before it.  Blocks this small stay under OpenBLAS's threading threshold.
+    before it (``_rng.row_blocks``).  Blocks this small stay under
+    OpenBLAS's threading threshold.
     """
     lam = quantizer.spectrum.lambdas
     d = lam.size
     block_rows = max(16, _BLOCK_ELEMS // d // 16 * 16)
     buf = np.empty((min(block_rows + 1, k_rows), d))
     d2 = np.empty(k_rows)
-    lo = 0
-    while lo < k_rows:
-        hi = k_rows if k_rows - lo <= block_rows + 1 else lo + block_rows
+    for lo, hi in _rng.row_blocks(k_rows, block_rows):
         xi = buf[: hi - lo]
         rng.standard_normal(out=xi)
         raw = xi[:, active]
@@ -165,7 +164,6 @@ def _chunk_d2(rng, k_rows, quantizer, mids, active):
             q = quantizer.codebooks[k][np.searchsorted(mids[k], raw[:, j])]
             xi[:, k] = (raw[:, j] - q) ** 2
         d2[lo:hi] = xi @ lam
-        lo = hi
     return d2
 
 

@@ -159,16 +159,38 @@ def derivative_kernel(spec, grid: Grid) -> np.ndarray:
 # Laplace transform of the squared L2 norm
 
 
+def _shifted_power_fit(k: np.ndarray, y: np.ndarray):
+    """Fit y = c - rho log(k - delta) by least squares over increasing
+    indices k, the index shift delta kept below k[0] so that every k - delta
+    stays positive; Gauss-Newton starts from the log-k regression
+    (delta = 0).  Returns (c, rho, delta)."""
+    slope, intercept = np.polyfit(np.log(k), y, 1)
+
+    def model(p):
+        c, rho, delta = p
+        if not delta < k[0]:
+            return None
+        u = k - delta
+        return c - rho * np.log(u), np.column_stack([np.ones_like(k), -np.log(u), rho / u])
+
+    p = gauss_newton(model, y, np.ones_like(y), np.array([intercept, -slope, 0.0]))[0]
+    return tuple(float(v) for v in p)
+
+
 def _fit_tail(lam: np.ndarray) -> Optional[SpectralTail]:
+    """The shifted power law of the upper half of the head, or None when it
+    cannot be fitted or is not trace class."""
     k_head = lam.size
     if k_head < 8:
         return None
     k = np.arange(k_head // 2 + 1, k_head + 1, dtype=float)
-    y = np.log(lam[k_head // 2 :])
-    slope, intercept = np.polyfit(np.log(k), y, 1)
-    if not (slope < -1.01) or not np.isfinite(slope):
+    try:
+        c, rho, delta = _shifted_power_fit(k, np.log(lam[k_head // 2 :]))
+    except NumericsError:
         return None
-    return SpectralTail(float(np.exp(intercept)), float(-slope), 0.0, fitted=True)
+    if not rho > 1.01:
+        return None
+    return SpectralTail(math.exp(c), rho, -delta, fitted=True)
 
 
 def _effective_tail(spectrum: EigenSpectrum) -> Optional[SpectralTail]:
@@ -339,12 +361,11 @@ def l2_smallball(spectrum: EigenSpectrum, eps: float) -> float:
 def eigen_rate_fit(spectrum: EigenSpectrum, k_range) -> float:
     """Decay exponent -rho of lambda_k over k in k_range (inclusive).
 
-    Fits log lambda_k = c - rho log(k - delta) by least squares, with the
-    index shift delta fitted alongside and kept below the first index so
-    that every k - delta stays positive.  Exact spectra follow the shifted
-    law, e.g. (pi (k - 1/2))^-2 for Brownian motion, and a plain regression
-    on log k reads -2.074 there over k in [5, 40].  Gauss-Newton starts from
-    that log-k regression (delta = 0).  Returns the slope -rho.
+    Fits log lambda_k = c - rho log(k - delta) with the index shift delta
+    fitted alongside (``_shifted_power_fit``).  Exact spectra follow the
+    shifted law, e.g. (pi (k - 1/2))^-2 for Brownian motion, and a plain
+    regression on log k reads -2.074 there over k in [5, 40].  Returns the
+    slope -rho.
     """
     lo, hi = int(k_range[0]), int(k_range[1])
     if lo < 1 or hi <= lo:
@@ -353,20 +374,7 @@ def eigen_rate_fit(spectrum: EigenSpectrum, k_range) -> float:
         raise SpecError(
             f"range {k_range} exceeds the {len(spectrum)} retained modes"
         )
-    k = np.arange(lo, hi + 1, dtype=float)
-    y = np.log(spectrum.lambdas[lo - 1 : hi])
-    if k.size < 4:
+    if hi - lo < 3:
         raise SpecError("need at least 4 modes to fit a slope and an index shift")
-    slope, intercept = np.polyfit(np.log(k), y, 1)
-
-    def model(p):
-        c, rho, delta = p
-        if not delta < lo:
-            return None
-        u = k - delta
-        return c - rho * np.log(u), np.column_stack([np.ones_like(k), -np.log(u), rho / u])
-
-    p, _cov, _resid = gauss_newton(
-        model, y, np.ones_like(y), np.array([intercept, -slope, 0.0])
-    )
-    return float(-p[1])
+    k = np.arange(lo, hi + 1, dtype=float)
+    return -_shifted_power_fit(k, np.log(spectrum.lambdas[lo - 1 : hi]))[1]

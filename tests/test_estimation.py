@@ -95,6 +95,30 @@ def test_mc_curve_rejects_duplicates_and_bad_args():
         mc_smallball(bm, Lp(2.0), [0.5], 0, grid=Grid(64))
 
 
+@pytest.mark.parametrize(
+    "eps",
+    [[0.1, 0.1, 0.05], [0.1, 0.0], [0.1, -0.05], []],
+    ids=["duplicate", "zero", "negative", "empty"],
+)
+def test_curve_builders_share_radius_checks(eps):
+    with pytest.raises(SpecError):
+        spectral_smallball_curve(brownian_spectrum(64), eps)
+    with pytest.raises(SpecError):
+        mc_smallball(BrownianMotion(), Lp(2.0), eps, 100, grid=Grid(64))
+
+
+@pytest.mark.parametrize(
+    "entry, want",
+    [
+        (CurveEntry(0.5, math.log(4.0), 0.1, 25, True, True, "mc"), (0.25, 0.025)),
+        (CurveEntry(0.1, math.inf, math.inf, 0, False, False, "mc"), (0.0, 0.0)),
+    ],
+    ids=["usable", "unusable"],
+)
+def test_curve_entry_prob_and_its_stderr(entry, want):
+    assert entry.prob == want
+
+
 def test_mc_curve_empty_raises():
     with pytest.raises(EmptyCurveError):
         mc_smallball(BrownianMotion(), Lp(INF), [0.01], 50, seed=3, grid=Grid(64))

@@ -25,7 +25,7 @@ from smallball import (
 )
 from smallball import _rng, processes
 from smallball.errors import SpecError
-from smallball.processes import _cholesky_factor
+from smallball.processes import MAX_CHOLESKY_N, _cholesky_factor, map_paths
 
 
 def test_grid_layout():
@@ -273,6 +273,27 @@ def test_sample_paths_matches_chunk_loop_bitwise(route, count, monkeypatch):
     for workers in ("1", "2", "3"):
         monkeypatch.setenv("SMALLBALL_THREADS", workers)
         assert np.array_equal(sample_paths(spec, g, count, seed=42), ref)
+
+
+@pytest.mark.parametrize(
+    "spec, grid, count",
+    [
+        (BrownianMotion(), Grid(8), 0),
+        (StableScaledFbm(0.5, 1.0), Grid(8), -1),
+        ("not a spec", Grid(8), 5),
+        (RiemannLiouville(0.3), Grid(MAX_CHOLESKY_N + 1), 5),
+    ],
+    ids=["count-0", "count-negative", "not-gaussian", "cholesky-too-large"],
+)
+def test_map_paths_fails_before_drawing(spec, grid, count, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a draw ran before the checks")
+
+    monkeypatch.setattr(_rng, "map_rows", no_draw)
+    with pytest.raises(SpecError):
+        map_paths(spec, grid, count, 1, no_draw, stable=no_draw)
+    with pytest.raises(SpecError):
+        sample_paths(spec, grid, count)
 
 
 def test_sampling_deterministic_and_thread_invariant(monkeypatch):

@@ -23,6 +23,7 @@ from smallball import (
     nystrom_eigen,
 )
 from smallball.errors import SpecError
+from smallball.spectral import _fit_tail
 
 # clamped-beam frequencies, roots of cos w + sech w = 0
 BEAM_W = [
@@ -180,6 +181,19 @@ def test_eigen_rate_fit_exact_power_law():
     assert eigen_rate_fit(sp, (5, 40)) == pytest.approx(-3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spectrum, rho", [(integrated_brownian_spectrum(64), 4.0), (brownian_spectrum(64), 2.0)]
+)
+def test_fitted_tail_recovers_shifted_analytic_law(spectrum, rho):
+    # the tail fitted to the upper half of 64 exact modes is the analytic
+    # pi^-rho (k - 1/2)^-rho, shift included
+    tail = _fit_tail(spectrum.lambdas)
+    assert tail.fitted
+    assert tail.power == pytest.approx(rho, abs=1e-6)
+    assert tail.shift == pytest.approx(-0.5, abs=1e-4)
+    assert tail.coef == pytest.approx(math.pi**-rho, rel=1e-5)
+
+
 def test_eigen_rate_fit_range_validation():
     sp = EigenSpectrum(np.arange(1, 21, dtype=float) ** -2.0)
     with pytest.raises(SpecError):
@@ -243,5 +257,6 @@ def test_laplace_grows_head_by_fitted_tail():
         exact = 0.5 * (lam - math.log(2.0))  # 0.5 log cosh(lam), to 1e-260
         assert math.isfinite(val)
         assert val == pytest.approx(exact, rel=0.02)
-    # below the growth threshold the fitted tail is summed as before
-    assert neg_log_laplace(spec, 100.0) == 49.54047991117224
+    # below the growth threshold the fitted tail is summed as is; with its
+    # index shift fitted it matches the exact 0.5 log cosh(100)
+    assert abs(neg_log_laplace(spec, 100.0) - 0.5 * math.log(math.cosh(100.0))) < 1e-3
