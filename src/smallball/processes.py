@@ -9,12 +9,18 @@ the weight, which is exact for smooth residual factors and accurate to
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import logging
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
+from scipy.linalg.blas import dtrmm
 from scipy.special import gamma as _gamma
 from scipy.special import roots_jacobi
 
@@ -352,22 +358,61 @@ def build_cov(spec, grid: Grid) -> np.ndarray:
 # sampling
 
 
+def _numpy_openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
+    ctypes, or None where the wheel ships another BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+_OPENBLAS_THREADS = _numpy_openblas_threads()
+# held from pinning to restoring: factors of two memo keys can be solved at
+# once, and interleaved set/restore pairs would leave a solve unpinned
+_OPENBLAS_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, then restore its
+    count.  The bits of potrf (n >= 128) and of build_cov's trapezoid
+    sandwich change with the thread count, so this keeps factors, and every
+    Cholesky path, equal across machines."""
+    if _OPENBLAS_THREADS is None:
+        yield
+        return
+    get_threads, set_threads = _OPENBLAS_THREADS
+    with _OPENBLAS_LOCK:
+        before = get_threads()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(before)
+
+
 @memo
 def _cholesky_factor(spec, grid: Grid) -> np.ndarray:
     if grid.n > MAX_CHOLESKY_N:
         raise SpecError(
             f"dense sampling supports n <= {MAX_CHOLESKY_N}, got {grid.n}"
         )
-    k = build_cov(spec, grid)
-    scale = np.trace(k) / grid.n
-    for jit in [0.0] + [scale * 10.0**e for e in range(-12, -5)]:
-        try:
-            fac = np.linalg.cholesky(k + jit * np.eye(grid.n))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    else:
-        raise NumericsError(f"covariance of {spec!r} not positive definite")
+    with _one_blas_thread():
+        k = build_cov(spec, grid)
+        scale = np.trace(k) / grid.n
+        for jit in [0.0] + [scale * 10.0**e for e in range(-12, -5)]:
+            try:
+                fac = np.linalg.cholesky(k + jit * np.eye(grid.n))
+                break
+            except np.linalg.LinAlgError:
+                continue
+        else:
+            raise NumericsError(f"covariance of {spec!r} not positive definite")
     if jit > 0.0:
         _log.warning(
             "covariance of %r on %d points factored with jitter %.3g", spec, grid.n, jit
@@ -376,8 +421,9 @@ def _cholesky_factor(spec, grid: Grid) -> np.ndarray:
 
 
 def _route(spec) -> str:
+    # fBm(1/2) and RL(1/2) have exactly BM's covariance min(s, t)
     if isinstance(spec, BrownianMotion) or (
-        isinstance(spec, FractionalBm) and spec.h == 0.5
+        isinstance(spec, (FractionalBm, RiemannLiouville)) and spec.h == 0.5
     ):
         return "cumsum"
     if isinstance(spec, FractionalBm):
@@ -387,15 +433,14 @@ def _route(spec) -> str:
 
 # Row blocks of one chunk hold about BLOCK_ELEMS values on the elementwise
 # routes.  The Cholesky route takes blocks of at least CHOLESKY_BLOCK_ELEMS
-# values in multiples of 16 rows: smaller GEMMs contend for BLAS threads, and
-# a one-row product goes to gemv, whose sums differ from GEMM's.
+# values, since smaller triangular products contend for BLAS threads.
 BLOCK_ELEMS = 2**16
 CHOLESKY_BLOCK_ELEMS = 2**19
 
 
 def _block_rows(spec, n: int) -> int:
     if _route(spec) == "cholesky":
-        return 16 * -(-CHOLESKY_BLOCK_ELEMS // (16 * n))
+        return -(-CHOLESKY_BLOCK_ELEMS // n)
     return max(1, BLOCK_ELEMS // n)
 
 
@@ -433,7 +478,10 @@ def _gaussian_chunk(spec, grid: Grid, rows: int, rng, re) -> np.ndarray:
         return np.cumsum(fgn, axis=1)
     fac = _cholesky_factor(spec, grid)
     z = rng.standard_normal((rows, n))
-    return z @ fac.T
+    # z @ fac.T in place as fac @ z.T, a triangular product at half GEMM's
+    # flops whose bits depend on neither the row count nor the BLAS threads;
+    # f2py may copy, so keep the returned array
+    return dtrmm(1.0, fac.T, z.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
 
 
 def sample_positive_stable(a: float, count: int, seed: int = _rng.DEFAULT_SEED):

@@ -28,8 +28,12 @@ from smallball.processes import (
     BrownianMotion,
     FractionalBm,
     Grid,
+    Integrated,
     RiemannLiouville,
     StableScaledFbm,
+    _cholesky_factor,
+    _route,
+    sample_paths,
 )
 from smallball.spectral import (
     EigenSpectrum,
@@ -241,7 +245,7 @@ def test_mc_smallball_matches_chunk_body_bitwise(count, route, norm_key, monkeyp
     "spec, n, limit_mib",
     # one worker holds one row block, not a chunk of 8192 rows (64 and 32
     # MiB per temporary on these grids)
-    [(BrownianMotion(), 1024, 8), (RiemannLiouville(0.5), 512, 24)],
+    [(BrownianMotion(), 1024, 8), (Integrated(BrownianMotion(), 1), 512, 24)],
 )
 def test_mc_smallball_memory_is_per_block(spec, n, limit_mib):
     tracemalloc.start()
@@ -251,6 +255,27 @@ def test_mc_smallball_memory_is_per_block(spec, n, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20
+
+
+def test_rl_half_on_cumsum_matches_dense_product():
+    # RL(1/2) has BM's covariance, so the cumsum route replaces its dense
+    # Cholesky product: the same normals, rounding-level path changes
+    spec, grid, count, seed = RiemannLiouville(0.5), Grid(256), 20000, 11
+    assert _route(spec) == "cumsum"
+    fac = _cholesky_factor(spec, grid)
+    rows = _rng.chunk_rows(grid.n, count)
+    dense = np.concatenate([
+        _rng.stream(seed, _rng.DOMAIN_PATHS, c).standard_normal(
+            (min(rows, count - c * rows), grid.n)
+        ) @ fac.T
+        for c in range(-(-count // rows))
+    ])
+    assert np.abs(sample_paths(spec, grid, count, seed=seed) - dense).max() <= 1e-13
+    eps = [3.0, 1.5, 1.0, 0.7, 0.5]
+    curve = mc_smallball(spec, Lp(INF), eps, count, seed=seed, grid=grid)
+    hits = np.searchsorted(np.sort(batch_norms(dense, Lp(INF))), eps, side="right")
+    assert [e.n_hits for e in curve.entries] == hits.tolist()
+    assert hits.min() > 0
 
 
 def test_mc_matches_spectral_l2():

@@ -1,11 +1,16 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg.blas import dtrmm
 
+import smallball
 from smallball import (
     BrownianMotion,
     FbmRlDifference,
@@ -202,7 +207,8 @@ def _positive_stable_reference(a, count, seed):
 
 def _gaussian_chunk_reference(spec, grid, rows, rng):
     """The whole-chunk path sampler before row blocks, frozen here: the
-    reference the block stream must reproduce bit for bit."""
+    reference the block stream must reproduce bit for bit.  Its Cholesky
+    product is the triangular one that replaced ``z @ fac.T``."""
     n = grid.n
     if isinstance(spec, BrownianMotion) or (
         isinstance(spec, FractionalBm) and spec.h == 0.5
@@ -224,7 +230,7 @@ def _gaussian_chunk_reference(spec, grid, rows, rng):
         return np.cumsum(fgn, axis=1)
     fac = _cholesky_factor(spec, grid)
     z = rng.standard_normal((rows, n))
-    return z @ fac.T
+    return dtrmm(1.0, fac.T, z.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
 
 
 def _sample_paths_reference(spec, grid, count, seed):
@@ -305,6 +311,49 @@ def test_sampling_deterministic_and_thread_invariant(monkeypatch):
             monkeypatch.setenv("SMALLBALL_THREADS", workers)
             assert np.array_equal(a, sample_paths(spec, g, 20000, seed=42))
         monkeypatch.delenv("SMALLBALL_THREADS")
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17, 2048])
+@pytest.mark.parametrize(
+    "spec, grid",
+    [(RiemannLiouville(0.3), Grid(256)), (Integrated(BrownianMotion(), 1), Grid(512))],
+    ids=["rl03", "ibm"],
+)
+def test_triangular_product_matches_dense_product(spec, grid, rows):
+    fac = _cholesky_factor(spec, grid)
+    got = processes._gaussian_chunk(spec, grid, rows, np.random.default_rng(rows), None)
+    z = np.random.default_rng(rows).standard_normal((rows, grid.n))
+    assert got.shape == (rows, grid.n)
+    assert np.abs(got - z @ fac.T).max() <= 1e-13
+
+
+_SAMPLE_SHA = """
+import hashlib, smallball as sb
+h = hashlib.sha256()
+for spec, n, count in [(sb.RiemannLiouville(0.3), 256, 20000),
+                       (sb.Integrated(sb.RiemannLiouville(0.3), 2), 512, 100)]:
+    h.update(sb.sample_paths(spec, sb.Grid(n), count, seed=5).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_cholesky_paths_do_not_depend_on_blas_threads():
+    # potrf's bits change with the thread count from n = 128 on, and so do
+    # those of the trapezoid sandwich that builds Integrated(RL(0.3), 2)'s
+    # covariance; each interpreter solves its factors cold
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smallball.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    digests = []
+    for blas in ("1", None):
+        run_env = dict(env, OPENBLAS_NUM_THREADS=blas) if blas else env
+        out = subprocess.run(
+            [sys.executable, "-c", _SAMPLE_SHA], env=run_env, capture_output=True,
+            text=True, check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_circulant_fgn_is_distributionally_right():
@@ -396,3 +445,27 @@ def test_cholesky_without_jitter_is_silent(caplog):
     with caplog.at_level(logging.WARNING, logger="smallball"):
         _cholesky_factor(RiemannLiouville(0.7), Grid(23))
     assert not [r for r in caplog.records if r.name.startswith("smallball")]
+
+
+@dataclass(frozen=True)
+class _Indefinite:
+    """A process whose covariance no jitter rung makes positive definite."""
+
+
+def test_factor_pins_blas_threads_and_restores_them(monkeypatch):
+    calls, threads = [], [4]
+
+    def set_threads(k):
+        calls.append(k)
+        threads[0] = k
+
+    monkeypatch.setattr(processes, "_OPENBLAS_THREADS", (lambda: threads[0], set_threads))
+    monkeypatch.setattr(processes, "build_cov", lambda spec, grid: -np.eye(grid.n))
+    with pytest.raises(processes.NumericsError):
+        _cholesky_factor(_Indefinite(), Grid(8))
+    assert calls == [1, 4]
+    # without numpy's OpenBLAS symbols the factor is solved unpinned
+    monkeypatch.setattr(processes, "_OPENBLAS_THREADS", None)
+    monkeypatch.setattr(processes, "build_cov", lambda spec, grid: np.eye(grid.n))
+    assert np.array_equal(_cholesky_factor(_Indefinite(), Grid(8)), np.eye(8))
+    assert calls == [1, 4]
