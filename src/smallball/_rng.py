@@ -1,12 +1,10 @@
 """Deterministic random-stream plumbing.
 
-Every seeded Monte Carlo loop draws through ``map_rows``, which splits the
-work into chunks of whole sample rows; chunk c always consumes the generator
-``stream(seed, domain, c)`` regardless of how many workers execute the
-chunks, so results are bitwise reproducible across worker counts.  Two
-draws do not: the fixed-seed fallback loop of ``spectral`` for spectra of
-fewer than 32 modes (``_MC_FALLBACK_SEED``) and the ``norm_homogeneity``
-check of the command line's ``verify-all``, each a single local generator.
+Every seeded draw comes from a generator ``stream(seed, domain, c)``.  The
+Monte Carlo loops draw through ``map_rows``, which splits the work into
+chunks of whole sample rows; chunk c always consumes ``stream(seed, domain,
+c)`` regardless of how many workers execute the chunks, so results are
+bitwise reproducible across worker counts.
 """
 from __future__ import annotations
 
@@ -24,6 +22,7 @@ DEFAULT_SEED = 20090520
 DOMAIN_PATHS = 1
 DOMAIN_STABLE = 2
 DOMAIN_QUANT = 4
+DOMAIN_VERIFY = 7
 
 
 def stream(seed: int, domain: int, chunk: int) -> np.random.Generator:

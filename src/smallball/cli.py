@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from ._rng import DEFAULT_SEED
+from ._rng import DEFAULT_SEED, DOMAIN_VERIFY, stream
 from .errors import SmallballError, SpecError, VerificationError
 from .estimation import (
     ConverseLaw,
@@ -81,6 +81,8 @@ def _parse_spec(d):
             return StableScaledFbm(float(d["h"]), float(d["alpha"]))
     except KeyError as k:
         raise SpecError(f"process spec '{kind}' missing field {k}") from None
+    except (TypeError, ValueError) as e:
+        raise SpecError(f"process spec '{kind}' has a bad field: {e}") from None
     raise SpecError(f"unknown process kind '{kind}'")
 
 
@@ -88,14 +90,18 @@ def _parse_norm(d):
     if not isinstance(d, dict) or "kind" not in d:
         raise SpecError("norm spec must be an object with a 'kind' field")
     kind = str(d["kind"]).lower()
-    if kind == "lp":
-        p = d.get("p")
-        p = math.inf if p in ("inf", "Inf", None) else float(p)
-        return Lp(p)
-    if kind == "holder":
-        return Holder(float(d["eta"]))
-    if kind in ("l2sq", "l2_squared"):
-        return L2Squared()
+    try:
+        if kind == "lp":
+            p = d.get("p")
+            return Lp(math.inf if p in ("inf", "Inf", None) else float(p))
+        if kind == "holder":
+            return Holder(float(d["eta"]))
+        if kind in ("l2sq", "l2_squared"):
+            return L2Squared()
+    except KeyError as k:
+        raise SpecError(f"norm spec '{kind}' missing field {k}") from None
+    except (TypeError, ValueError) as e:
+        raise SpecError(f"norm spec '{kind}' has a bad field: {e}") from None
     raise SpecError(f"unknown norm kind '{kind}'")
 
 
@@ -380,8 +386,7 @@ def _verify_all(cfg, out):
     record("chenli_margin", r.margin_se, -2.0, r.margin_se >= -2.0)
 
     # norm homogeneity
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(200)
+    x = stream(seed, DOMAIN_VERIFY, 0).standard_normal(200)
     worst = 0.0
     for nrm in (Lp(1.0), Lp(2.0), Lp(math.inf), Holder(0.5)):
         a, b = batch_norms(3.0 * x, nrm)[0], 3.0 * batch_norms(x, nrm)[0]

@@ -25,13 +25,13 @@ from .processes import (
     FracIntegrated,
     Grid,
     Integrated,
+    _one_blas_thread,
     build_cov,
     covariance,
 )
 
 _CLIP_REL = 1e-14
 _MAX_MODES = 2**22
-_MC_FALLBACK_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,16 @@ def nystrom_eigen(spec_or_matrix, grid: Grid, k: int) -> EigenSpectrum:
     below the relative clip (smooth kernels exhaust double precision fast)."""
     if k < 1:
         raise SpecError(f"need k >= 1 modes, got {k}")
-    if isinstance(spec_or_matrix, np.ndarray):
-        mat = spec_or_matrix
-        if mat.shape != (grid.n, grid.n):
-            raise SpecError("matrix shape does not match grid")
-    else:
-        mat = build_cov(spec_or_matrix, grid)
-    lam = np.linalg.eigvalsh(mat / grid.n)[::-1]
+    # the bits of eigvalsh and of build_cov's sandwiches change with the
+    # BLAS thread count
+    with _one_blas_thread():
+        if isinstance(spec_or_matrix, np.ndarray):
+            mat = spec_or_matrix
+            if mat.shape != (grid.n, grid.n):
+                raise SpecError("matrix shape does not match grid")
+        else:
+            mat = build_cov(spec_or_matrix, grid)
+        lam = np.linalg.eigvalsh(mat / grid.n)[::-1]
     lam = lam[lam > _CLIP_REL * max(lam[0], 0.0)]
     if lam.size == 0:
         raise NumericsError("no positive eigenvalues survive clipping")
@@ -283,61 +286,52 @@ def _lr2_neg_log(lam: np.ndarray, x: float) -> float:
 
 
 def _upper_tail_neg_log(lam: np.ndarray, x: float) -> float:
-    """P(Q <= x) for x at or above the mean energy, where no lower saddle
-    exists.  Inverts G(s)/s = E exp(-sQ)/s along a vertical contour at the
-    (nonpositive) Laplace saddle; there the integrand is bell-shaped and the
-    quadrature converges without oscillation trouble.  The contour decay rate
-    is |t|^(-1-K/2), so for very short spectra a plain MC estimate replaces
-    the integral."""
+    """-log P(Q <= x) for Q = sum lam_k xi_k^2 and x at or above the mean
+    energy, where no lower saddle exists, by Imhof's inversion (Biometrika
+    48, 1961):
+
+        P(Q <= x) = 1/2 - (1/pi) int_0^inf sin(phi(u) - x u / 2) / (u rho(u)) du,
+
+    phi = sum arctan(lam_k u) / 2, rho = prod (1 + lam_k^2 u^2)^(1/4).  Exact
+    for any number of modes: [0, 1/lam_1] by plain quadrature, the rest as
+    two QUADPACK Fourier integrals in x u / 2, which converge even for one
+    mode.  Elementwise sums only, so no BLAS call can move the bits."""
     from scipy.integrate import quad
 
-    if lam.size < 32:
-        rng = np.random.default_rng(_MC_FALLBACK_SEED)
-        hits = total = 0
-        for _ in range(16):
-            z = rng.standard_normal((250000, lam.size))
-            hits += int(((z * z) @ lam <= x).sum())
-            total += z.shape[0]
-        if hits in (0, total):
-            raise NumericsError("MC fallback saturated; radius out of range")
-        return -math.log(hits / total)
+    def phase(u):
+        return 0.5 * float(np.arctan(lam * u).sum())
 
-    lim = -0.5 / lam[0]
+    def inv_u_rho(u):
+        return math.exp(-0.25 * float(np.log1p((lam * u) ** 2).sum())) / u
 
-    def drift(c):
-        return x - float((lam / (1.0 + 2.0 * lam * c)).sum())
+    def head(u):
+        return math.sin(phase(u) - 0.5 * x * u) * inv_u_rho(u)
 
-    # saddle of e^{cx} G(c); x >= trace puts it in (lim, 0]
-    if drift(0.0) <= 0.0:
-        c = 1e-3 * lim
-    else:
-        c = brentq(drift, lim * (1.0 - 1e-12), 0.0, rtol=8.9e-16)
-        c = min(c, 1e-3 * lim)  # keep the 1/s pole off the contour
-    base = 1.0 + 2.0 * lam * c
+    def integral(f, lo, hi, **weight):
+        out = quad(f, lo, hi, epsabs=1e-13, limit=200, full_output=1, **weight)
+        if len(out) > 3:  # QUADPACK's warning message
+            raise NumericsError(f"Imhof inversion at x = {x!r}: {out[3].splitlines()[0]}")
+        return out[0]
 
-    def integrand(t):
-        s = complex(c, t)
-        log_g = -0.5 * np.log(1.0 + 2.0 * lam * s).sum()
-        return (np.exp(log_g + s * x) / s).real
-
-    t_max = 1.0
-    while -0.25 * float(np.log1p(4.0 * lam**2 * t_max**2 / base**2).sum()) > -45.0:
-        t_max *= 2.0
-        if t_max > 1e9:
-            raise NumericsError("contour integrand fails to decay")
-    val, _err = quad(integrand, 0.0, t_max, limit=2000, epsabs=1e-13)
-    p = 1.0 + val / math.pi
-    if not (0.0 < p < 1.0):
-        raise NumericsError("contour integral out of range")
-    return -math.log(p)
+    a, w = 1.0 / lam[0], 0.5 * x
+    # sin(phi - w u) = sin(phi) cos(w u) - cos(phi) sin(w u)
+    val = (
+        integral(head, 0.0, a)
+        + integral(lambda u: math.sin(phase(u)) * inv_u_rho(u), a, np.inf, weight="cos", wvar=w)
+        - integral(lambda u: math.cos(phase(u)) * inv_u_rho(u), a, np.inf, weight="sin", wvar=w)
+    )
+    p = 0.5 - val / math.pi
+    if not p > 0.0:
+        raise NumericsError(f"Imhof inversion gave P(Q <= {x!r}) = {p!r}")
+    return 0.0 if p >= 1.0 else -math.log(p)
 
 
 def l2_smallball(spectrum: EigenSpectrum, eps: float) -> float:
     """-log P(||X||_2 <= eps) for the Gaussian law with this spectrum.
 
     Saddlepoint (second order) on the materialised spectrum; if eps^2 is at
-    or above the mean energy there is no lower saddle and a direct integral
-    is used instead.
+    or above the mean energy there is no lower saddle and Imhof's exact
+    inversion is used instead.
     """
     if not (eps > 0.0):
         raise SpecError(f"radius must be > 0, got {eps}")

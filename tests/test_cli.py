@@ -87,6 +87,21 @@ def test_unknown_process_kind(tmp_path, capsys):
     assert "pink_noise" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "process,norm,kind",
+    [(BM, {"kind": "holder"}, "holder"), ({"kind": "fbm", "h": "x"}, L2, "fbm")],
+)
+def test_malformed_field_is_spec_error(tmp_path, capsys, process, norm, kind):
+    cfg = write_config(
+        tmp_path,
+        {"process": process, "norm": norm, "eps": [0.5], "n_samples": 100, "seed": 1},
+    )
+    code = cli.main(["smallball", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and kind in err
+
+
 def test_invalid_json_config(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -333,6 +333,7 @@ h = hashlib.sha256()
 for spec, n, count in [(sb.RiemannLiouville(0.3), 256, 20000),
                        (sb.Integrated(sb.RiemannLiouville(0.3), 2), 512, 100)]:
     h.update(sb.sample_paths(spec, sb.Grid(n), count, seed=5).tobytes())
+h.update(sb.nystrom_eigen(sb.RiemannLiouville(0.3), sb.Grid(512), 64).lambdas.tobytes())
 print(h.hexdigest())
 """
 
@@ -340,7 +341,8 @@ print(h.hexdigest())
 def test_cholesky_paths_do_not_depend_on_blas_threads():
     # potrf's bits change with the thread count from n = 128 on, and so do
     # those of the trapezoid sandwich that builds Integrated(RL(0.3), 2)'s
-    # covariance; each interpreter solves its factors cold
+    # covariance and those of eigvalsh behind nystrom_eigen; each
+    # interpreter solves its factors cold
     src = os.path.dirname(os.path.dirname(os.path.abspath(smallball.__file__)))
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

@@ -1,5 +1,7 @@
 """Seeded chunk plumbing: the row-chunk rule and the worker count."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,17 @@ def test_row_blocks_tile_and_merge_a_lone_last_row(k, rows, want):
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert all(hi - lo == rows for lo, hi in blocks[:-1])
     assert blocks[-1][1] - blocks[-1][0] > 1 or k == 1
+
+
+def test_no_generator_outside_rng():
+    # every seeded draw comes from _rng.stream, so no other module may build
+    # a generator or a seed sequence of its own
+    pkg = os.path.dirname(os.path.abspath(_rng.__file__))
+    offenders = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "_rng.py":
+            with open(os.path.join(pkg, name)) as fh:
+                text = fh.read()
+            if "default_rng(" in text or "SeedSequence(" in text:
+                offenders.append(name)
+    assert offenders == []

@@ -22,7 +22,7 @@ from smallball import (
     neg_log_laplace,
     nystrom_eigen,
 )
-from smallball.errors import SpecError
+from smallball.errors import NumericsError, SpecError
 from smallball.spectral import _fit_tail
 
 # clamped-beam frequencies, roots of cos w + sech w = 0
@@ -96,7 +96,7 @@ def test_l2_ball_saddlepoint_region(eps, ref_tol):
 
 @pytest.mark.parametrize("eps,ref_tol", sorted(BM_L2_P.items()))
 def test_l2_ball_large_radius(eps, ref_tol):
-    # eps^2 at/above the trace exercises the numeric inversion fallback
+    # eps^2 at/above the trace exercises Imhof's inversion
     ref, tol = ref_tol
     sp = brownian_spectrum(2048)
     p = math.exp(-l2_smallball(sp, eps))
@@ -111,10 +111,42 @@ def test_l2_ball_single_mode():
 
 
 def test_l2_ball_single_mode_above_trace():
-    # short spectra route the upper side through the sampling fallback
+    # Imhof's inversion is exact for a single mode
     sp = EigenSpectrum([1.0])
     p = math.exp(-l2_smallball(sp, 1.0))
-    assert p == pytest.approx(0.6826894921370859, abs=1e-3)  # P(chi2_1 <= 1)
+    assert p == pytest.approx(0.6826894921370859, rel=1e-12)  # P(chi2_1 <= 1)
+
+
+@pytest.mark.parametrize("f", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("j_modes", [1, 4, 16])
+def test_l2_ball_above_trace_matches_paired_modes_closed_form(j_modes, f):
+    # each eigenvalue twice makes Q a sum of exponentials, whose law is
+    # P(Q <= x) = 1 - sum_j prod_{i != j} l_j / (l_j - l_i) exp(-x / (2 l_j))
+    ev = brownian_spectrum(j_modes).lambdas
+    sp = EigenSpectrum(np.repeat(ev, 2))
+    eps = math.sqrt(f * sp.trace)
+    x = eps * eps
+    ref = 1.0 - sum(
+        math.prod(lj / (lj - li) for i, li in enumerate(ev) if i != j)
+        * math.exp(-x / (2.0 * lj))
+        for j, lj in enumerate(ev)
+    )
+    assert abs(math.exp(-l2_smallball(sp, eps)) - ref) <= 1e-13
+
+
+def test_l2_ball_far_above_trace_is_finite():
+    # p is within 1e-14 of 1 here, and -log p must still be finite and >= 0
+    nl = l2_smallball(brownian_spectrum(2048), 5.0)
+    assert math.isfinite(nl) and nl >= 0.0
+    # P(chi2_1 <= 100) rounds to 1, and -log 1 is +0.0, not -0.0
+    assert math.copysign(1.0, l2_smallball(EigenSpectrum([1.0]), 10.0)) == 1.0
+
+
+def test_l2_ball_unresolved_inversion_is_numerics_error():
+    # ~800 periods of the integrand in [0, 1 / lambda_1] exhaust QUADPACK's
+    # subdivisions: the radius fails loudly rather than returning a wrong p
+    with pytest.raises(NumericsError, match="Imhof"):
+        l2_smallball(EigenSpectrum([1.0]), 100.0)
 
 
 def test_l2_ball_monotone():
