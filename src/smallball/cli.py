@@ -124,15 +124,10 @@ def _write_lines(path: str, lines):
         f.write("\n".join(lines) + "\n")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path, config, header, rows):
     lines = _manifest_lines(config) + [header]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    # str and repr agree on Python floats
+    lines += [",".join(str(v) for v in row) for row in rows]
     _write_lines(path, lines)
 
 

@@ -81,14 +81,6 @@ class SmallBallCurve:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise SpecError("curve radii must be strictly decreasing")
 
-    @property
-    def eps(self) -> np.ndarray:
-        return np.array([e.eps for e in self.entries])
-
-    @property
-    def neg_log_p(self) -> np.ndarray:
-        return np.array([e.neg_log_p for e in self.entries])
-
 
 def _radii(eps_list) -> list:
     """Radii as floats, read once (a generator works), checked positive and

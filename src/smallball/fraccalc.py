@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, toeplitz
 
 from ._cache import memo
 from .errors import SpecError
@@ -64,16 +64,12 @@ def _apply_once(values: np.ndarray, mu: float) -> np.ndarray:
         return out / n
     kernel, first = _weights(mu, n)
     scale = (1.0 / n) ** mu / math.gamma(mu)
-    if values.ndim == 1:
-        out = np.convolve(values, kernel)[:n]
-        out += first * values[0]
-        return scale * out
-    out = np.empty_like(values)
-    for i in range(values.shape[0]):
-        row = np.convolve(values[i], kernel)[:n]
-        row += first * values[i, 0]
-        out[i] = row
-    return scale * out
+    rows = values.reshape(-1, n)
+    out = np.empty_like(rows)
+    for i in range(rows.shape[0]):
+        out[i] = np.convolve(rows[i], kernel)[:n]
+        out[i] += first * rows[i, 0]
+    return scale * out.reshape(values.shape)
 
 
 def frac_integral(values, order: float) -> np.ndarray:
@@ -97,10 +93,7 @@ def operator_matrix(order: float, n: int) -> np.ndarray:
     def single(mu_k):
         kernel, first = _weights(mu_k, n)
         scale = (1.0 / n) ** mu_k / math.gamma(mu_k)
-        mat = np.zeros((n, n))
-        idx = np.arange(n)
-        for d in range(n):
-            mat[idx[d:], idx[d:] - d] = kernel[d]
+        mat = toeplitz(kernel, np.zeros(n))  # mat[i, j] = kernel[i - j] below the diagonal
         mat[:, 0] += first
         return scale * mat
 

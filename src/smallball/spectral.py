@@ -4,9 +4,11 @@ Covariance operators on L2[0,1] are represented by their eigenvalue
 sequences, either analytically known or estimated from a grid covariance
 matrix by the Nystrom rule (eigenvalues of CovMatrix / n).  A spectrum may
 carry a power-law tail lambda_k ~ A (k + shift)^(-rho) describing the modes
-beyond the retained head; the Laplace transform sums that tail analytically
-and the small-ball evaluator materialises it when the requested radius is
-deep enough that truncation would bias the answer.
+beyond the retained head.  One materialiser appends tail-law modes to the
+head, doubling the mode count up to 2^22, with a stop rule per caller: the
+small-ball evaluator grows the analytic tail until what lies beyond holds at
+most 1e-3 eps^2, and the Laplace transform grows its tail (analytic, else
+fitted) until the Hurwitz series that sums the rest converges fast.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ class SpectralTail:
 class EigenSpectrum:
     """Decreasing positive eigenvalues, optionally with an analytic tail."""
 
-    def __init__(self, lambdas, tail: Optional[SpectralTail] = None, grid_n=None):
+    def __init__(self, lambdas, tail: Optional[SpectralTail] = None):
         lam = np.sort(np.asarray(lambdas, dtype=float))[::-1]
         if lam.size == 0 or not np.all(np.isfinite(lam)):
             raise SpecError("spectrum must be a nonempty finite sequence")
@@ -67,7 +69,6 @@ class EigenSpectrum:
             raise SpecError("spectrum has no positive eigenvalues")
         self.lambdas = lam
         self.tail = tail
-        self.grid_n = grid_n
 
     def __len__(self) -> int:
         return self.lambdas.size
@@ -75,14 +76,6 @@ class EigenSpectrum:
     @property
     def trace(self) -> float:
         return float(self.lambdas.sum())
-
-    def extended(self, k_total: int) -> np.ndarray:
-        """Head plus tail-law eigenvalues out to k_total modes."""
-        lam = self.lambdas
-        if self.tail is None or k_total <= lam.size:
-            return lam
-        k = np.arange(lam.size + 1, k_total + 1, dtype=float)
-        return np.concatenate([lam, self.tail.values(k)])
 
 
 def brownian_spectrum(k: int) -> EigenSpectrum:
@@ -131,7 +124,7 @@ def nystrom_eigen(spec_or_matrix, grid: Grid, k: int) -> EigenSpectrum:
     lam = lam[lam > _CLIP_REL * max(lam[0], 0.0)]
     if lam.size == 0:
         raise NumericsError("no positive eigenvalues survive clipping")
-    return EigenSpectrum(lam[: min(k, lam.size)], grid_n=grid.n)
+    return EigenSpectrum(lam[: min(k, lam.size)])
 
 
 def derivative_kernel(spec, grid: Grid) -> np.ndarray:
@@ -202,6 +195,19 @@ def _effective_tail(spectrum: EigenSpectrum) -> Optional[SpectralTail]:
     return _fit_tail(spectrum.lambdas)
 
 
+def _materialise(lam: np.ndarray, tail: Optional[SpectralTail], short) -> np.ndarray:
+    """The head ``lam`` followed by tail-law modes: the mode count doubles
+    from the head's while ``short(count)`` holds, up to ``_MAX_MODES``, where
+    each caller decides what a head still short means.  No tail, no growth."""
+    if tail is None:
+        return lam
+    k_head = lam.size
+    while k_head < _MAX_MODES and short(k_head):
+        k_head = min(2 * k_head, _MAX_MODES)
+    k = np.arange(lam.size + 1, k_head + 1, dtype=float)
+    return np.concatenate([lam, tail.values(k)]) if k.size else lam
+
+
 def neg_log_laplace(spectrum: EigenSpectrum, lam: float) -> float:
     """-log E exp(-(lam^2 / 2) ||X||_2^2) for the Gaussian law with this
     spectrum; head summed directly, tail by alternating Hurwitz-zeta series
@@ -210,31 +216,21 @@ def neg_log_laplace(spectrum: EigenSpectrum, lam: float) -> float:
         raise SpecError(f"lambda must be >= 0, got {lam}")
     if lam == 0.0:
         return 0.0
-    ev = spectrum.lambdas
     tail = _effective_tail(spectrum)
     t2 = lam * lam
-    if tail is not None:
-        # grow the head until the series argument is safely inside |q| <= 1/2
-        k_head = ev.size
-        while t2 * tail.values(np.array([k_head + 1.0]))[0] > 0.5:
-            if k_head >= _MAX_MODES:
-                raise NumericsError("tail materialisation exceeded mode cap")
-            k_head = min(2 * k_head, _MAX_MODES)
-        # grown by the effective tail: ``extended`` ignores a fitted one
-        k = np.arange(ev.size + 1, k_head + 1, dtype=float)
-        ev = np.concatenate([ev, tail.values(k)]) if k.size else ev
+
+    def short(k):  # the series argument past k modes is not inside |q| <= 1/2
+        return t2 * tail.values(np.array([k + 1.0]))[0] > 0.5
+
+    ev = _materialise(spectrum.lambdas, tail, short)
+    if tail is not None and short(ev.size):
+        raise NumericsError("tail materialisation exceeded mode cap")
     total = 0.5 * float(np.log1p(t2 * ev).sum())
     if tail is not None:
-        k_head = ev.size
-        q = t2 * tail.coef
+        q, a = t2 * tail.coef, ev.size + 1 + tail.shift
         term_sum = 0.0
         for j in range(1, 200):
-            term = (
-                (-1.0) ** (j + 1)
-                * q**j
-                * _hurwitz(j * tail.power, k_head + 1 + tail.shift)
-                / j
-            )
+            term = (-1.0) ** (j + 1) * q**j * _hurwitz(j * tail.power, a) / j
             term_sum += term
             if abs(term) < 1e-10 * max(abs(total + 0.5 * term_sum), 1e-30):
                 break
@@ -295,8 +291,16 @@ def _upper_tail_neg_log(lam: np.ndarray, x: float) -> float:
     phi = sum arctan(lam_k u) / 2, rho = prod (1 + lam_k^2 u^2)^(1/4).  Exact
     for any number of modes: [0, 1/lam_1] by plain quadrature, the rest as
     two QUADPACK Fourier integrals in x u / 2, which converge even for one
-    mode.  Elementwise sums only, so no BLAS call can move the bits."""
+    mode.  Where a Chernoff bound puts P(Q > x) below 2^-54, p rounds to 1
+    and +0.0 is returned without integrating.  Elementwise sums only, so no
+    BLAS call can move the bits."""
     from scipy.integrate import quad
+
+    # P(Q > x) <= exp(-s x) E exp(s Q), with the s that is optimal when every
+    # mode equals lam_1
+    s = max(1.0 - float(lam.sum()) / x, 0.0) / (2.0 * lam[0])
+    if -s * x - 0.5 * float(np.log1p(-2.0 * s * lam).sum()) < -54.0 * math.log(2.0):
+        return 0.0
 
     def phase(u):
         return 0.5 * float(np.arctan(lam * u).sum())
@@ -336,14 +340,10 @@ def l2_smallball(spectrum: EigenSpectrum, eps: float) -> float:
     if not (eps > 0.0):
         raise SpecError(f"radius must be > 0, got {eps}")
     x = eps * eps
-    lam = spectrum.lambdas
-    if spectrum.tail is not None:
-        k_head = lam.size
-        while (
-            spectrum.tail.trace_beyond(k_head) > 1e-3 * x and k_head < _MAX_MODES
-        ):
-            k_head = min(2 * k_head, _MAX_MODES)
-        lam = spectrum.extended(k_head)
+    # a head still short at the mode cap is used as it is
+    lam = _materialise(
+        spectrum.lambdas, spectrum.tail, lambda k: spectrum.tail.trace_beyond(k) > 1e-3 * x
+    )
     if x >= float(lam.sum()) * (1.0 - 1e-12):
         # unmaterialised modes act as exp(-s * residual trace) here, i.e. a
         # plain shift of the energy level

@@ -10,6 +10,7 @@ from smallball import (
     operator_matrix,
     semigroup_check,
 )
+from smallball.fraccalc import _split_order, _weights
 
 
 def _grid_values(n, f):
@@ -112,3 +113,38 @@ def test_sample_path_roundtrip():
     p = np.sin(math.pi * g.points)
     back = frac_derivative(frac_integral(p, 0.7), 0.7)
     assert np.max(np.abs(back - p)) < 1e-9
+
+
+def _loop_operator_matrix(order, n):
+    """Reference for operator_matrix: each factor filled one diagonal per
+    Python step."""
+    m, mu = _split_order(order)
+
+    def single(mu_k):
+        kernel, first = _weights(mu_k, n)
+        scale = (1.0 / n) ** mu_k / math.gamma(mu_k)
+        mat = np.zeros((n, n))
+        idx = np.arange(n)
+        for d in range(n):
+            mat[idx[d:], idx[d:] - d] = kernel[d]
+        mat[:, 0] += first
+        return scale * mat
+
+    w = single(mu)
+    if m:
+        w1 = single(1.0)
+        for _ in range(m):
+            w = w1 @ w
+    return w
+
+
+@pytest.mark.parametrize("order", [0.5, 1.0, 1.7, 2.3])
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_operator_matrix_matches_diagonal_loop_bitwise(order, n):
+    assert np.array_equal(operator_matrix(order, n), _loop_operator_matrix(order, n))
+
+
+@pytest.mark.parametrize("order", [0.3, 1.0, 1.7])
+def test_frac_integral_path_is_row_of_batch(order):
+    v = np.random.default_rng(5).standard_normal(64).cumsum()
+    assert np.array_equal(frac_integral(v, order), frac_integral(v[None, :], order)[0])

@@ -62,6 +62,14 @@ def test_codebook_monotone_and_symmetric():
         assert cb + cb[::-1] == pytest.approx(np.zeros(n), abs=1e-10)
 
 
+def test_codebook_root_solves_every_level_count():
+    # the hybr root is the only solver, so every level count product_quantizer
+    # can request must reach the fixed point through it
+    for n in range(1, quantize._MAX_LEVELS + 1):
+        cb = gauss_scalar_codebook(n)[0]
+        assert np.max(np.abs(cb - _centroids(cb))) <= 1e-10
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_codebook_against_mc_oracle(n):
     # independent 10^7-sample estimate of E min_c (xi - c)^2

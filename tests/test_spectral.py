@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from smallball import (
     covariance,
@@ -142,11 +143,22 @@ def test_l2_ball_far_above_trace_is_finite():
     assert math.copysign(1.0, l2_smallball(EigenSpectrum([1.0]), 10.0)) == 1.0
 
 
-def test_l2_ball_unresolved_inversion_is_numerics_error():
-    # ~800 periods of the integrand in [0, 1 / lambda_1] exhaust QUADPACK's
-    # subdivisions: the radius fails loudly rather than returning a wrong p
+def test_l2_ball_unresolved_inversion_is_numerics_error(monkeypatch):
+    # far past the trace, where the head segment holds more periods than
+    # QUADPACK resolves, a Chernoff bound puts 1 - p below 2^-54: the answer
+    # is +0.0 without integrating
+    flat = EigenSpectrum(np.full(200, 0.01))
+    for sp, eps in ((EigenSpectrum([1.0]), 100.0), (flat, math.sqrt(46.0 * flat.trace))):
+        assert math.copysign(1.0, l2_smallball(sp, eps)) == 1.0
+        assert l2_smallball(sp, eps) == 0.0
+    # an inversion QUADPACK does not resolve still fails loudly rather than
+    # returning a wrong p
+    def unresolved(*args, **kwargs):
+        return 0.0, 1.0, {}, "The maximum number of subdivisions (200) has been achieved.\n"
+
+    monkeypatch.setattr(scipy.integrate, "quad", unresolved)
     with pytest.raises(NumericsError, match="Imhof"):
-        l2_smallball(EigenSpectrum([1.0]), 100.0)
+        l2_smallball(EigenSpectrum([1.0]), 1.5)
 
 
 def test_l2_ball_monotone():
@@ -292,3 +304,28 @@ def test_laplace_grows_head_by_fitted_tail():
     # below the growth threshold the fitted tail is summed as is; with its
     # index shift fitted it matches the exact 0.5 log cosh(100)
     assert abs(neg_log_laplace(spec, 100.0) - 0.5 * math.log(math.cosh(100.0))) < 1e-3
+
+
+# float.hex of the head materialiser's results, frozen from the two growth
+# loops it replaced (bm64 at 0.002 stops at the mode cap)
+L2_PINNED = [
+    (brownian_spectrum, 64, 0.01, "0x1.39256826c60fdp+10"),
+    (brownian_spectrum, 64, 0.002, "0x1.e56f3b5681a89p+14"),
+    (integrated_brownian_spectrum, 16, 1e-4, "0x1.5f9efc7b1c16dp+7"),
+]
+
+
+@pytest.mark.parametrize("make, k, eps, ref", L2_PINNED)
+def test_l2_ball_materialised_head_is_pinned(make, k, eps, ref):
+    assert l2_smallball(make(k), eps).hex() == ref
+
+
+@pytest.mark.parametrize("lam, ref", [(300.0, "0x1.2b4e8de8068fep+7"), (1000.0, "0x1.f3a746f3f3747p+8")])
+def test_laplace_materialised_head_is_pinned(lam, ref):
+    assert neg_log_laplace(EigenSpectrum(brownian_spectrum(64).lambdas), lam).hex() == ref
+
+
+def test_laplace_past_mode_cap_is_numerics_error():
+    # the series argument at the 2^22nd mode is still ~58 at lambda = 1e8
+    with pytest.raises(NumericsError, match="mode cap"):
+        neg_log_laplace(brownian_spectrum(8), 1e8)
