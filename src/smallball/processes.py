@@ -32,6 +32,13 @@ _log = logging.getLogger(__name__)
 
 _NQ = 64  # Gauss-Jacobi nodes for Volterra covariances
 
+# Row blocks of the quadrature temporaries, and of one chunk on the
+# elementwise sampling routes, hold about BLOCK_ELEMS values.  The Cholesky
+# route takes blocks of at least CHOLESKY_BLOCK_ELEMS values, since smaller
+# triangular products contend for BLAS threads.
+BLOCK_ELEMS = 2**16
+CHOLESKY_BLOCK_ELEMS = 2**19
+
 MAX_CHOLESKY_N = 4096
 
 
@@ -213,8 +220,9 @@ def _jacobi_nodes(alpha: float):
 
 def _row_blocks(rows: int, width: int):
     """Slices over ``rows`` so that a (block, width) temporary holds about
-    2^22 elements."""
-    step = max(1, 2**22 // width)
+    BLOCK_ELEMS elements and stays in cache.  Every entry is computed on its
+    own row, so the bits do not depend on where the blocks are cut."""
+    step = max(1, BLOCK_ELEMS // width)
     return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
 
 
@@ -314,7 +322,7 @@ def covariance(spec, s, t):
     _require_gaussian(spec)
     s, t = np.broadcast_arrays(s, t)
     shape = s.shape
-    out = _cov_pairs(spec, s.ravel().astype(float), t.ravel().astype(float))
+    out = _cov_pairs(spec, s.ravel(), t.ravel())
     out = out.reshape(shape)
     return float(out) if shape == () else out
 
@@ -337,11 +345,8 @@ def build_cov(spec, grid: Grid) -> np.ndarray:
         n = grid.n
         tfull = grid.full_points
         rb = covariance(spec.base, tfull[None, :], tfull[:, None])
-        tw = np.zeros((n, n + 1))
-        for i in range(1, n + 1):
-            tw[i - 1, 0] = 0.5
-            tw[i - 1, 1:i] = 1.0
-            tw[i - 1, i] = 0.5
+        tw = np.tri(n, n + 1, 1) - 0.5 * np.eye(n, n + 1, 1)
+        tw[:, 0] = 0.5
         tw /= n
         k = rb
         for _ in range(spec.m):
@@ -349,9 +354,13 @@ def build_cov(spec, grid: Grid) -> np.ndarray:
             if _ + 1 < spec.m:
                 k = np.pad(k, ((1, 0), (1, 0)))
         return 0.5 * (k + k.T)
+    # every pair function left is bitwise symmetric, so evaluate each pair
+    # once, on the upper triangle, and mirror it: 0.5 * (v + v) == v
     t = grid.points
-    k = covariance(spec, t[None, :], t[:, None])
-    return 0.5 * (k + k.T)
+    i, j = np.triu_indices(grid.n)
+    k = np.empty((grid.n, grid.n))
+    k[i, j] = k[j, i] = covariance(spec, t[j], t[i])
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +438,6 @@ def _route(spec) -> str:
     if isinstance(spec, FractionalBm):
         return "circulant"
     return "cholesky"
-
-
-# Row blocks of one chunk hold about BLOCK_ELEMS values on the elementwise
-# routes.  The Cholesky route takes blocks of at least CHOLESKY_BLOCK_ELEMS
-# values, since smaller triangular products contend for BLAS threads.
-BLOCK_ELEMS = 2**16
-CHOLESKY_BLOCK_ELEMS = 2**19
 
 
 def _block_rows(spec, n: int) -> int:

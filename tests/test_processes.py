@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ from smallball import (
 )
 from smallball import _rng, processes
 from smallball.errors import SpecError
-from smallball.processes import MAX_CHOLESKY_N, _cholesky_factor, map_paths
+from smallball.fraccalc import operator_matrix
+from smallball.processes import MAX_CHOLESKY_N, _cholesky_factor, _cov_pairs, map_paths
 
 
 def test_grid_layout():
@@ -471,3 +473,105 @@ def test_factor_pins_blas_threads_and_restores_them(monkeypatch):
     monkeypatch.setattr(processes, "build_cov", lambda spec, grid: np.eye(grid.n))
     assert np.array_equal(_cholesky_factor(_Indefinite(), Grid(8)), np.eye(8))
     assert calls == [1, 4]
+
+
+def _full_square_cov(spec, grid):
+    """Frozen copy of build_cov's full-square assembly: every pair of the
+    n x n grid, then the average with the transpose."""
+    if isinstance(spec, FracIntegrated):
+        w = operator_matrix(spec.order, grid.n)
+        k = w @ _full_square_cov(spec.base, grid) @ w.T
+        return 0.5 * (k + k.T)
+    if isinstance(spec, Integrated) and not (
+        spec.m == 1 and isinstance(spec.base, (BrownianMotion, FractionalBm))
+    ):
+        n = grid.n
+        tfull = grid.full_points
+        k = covariance(spec.base, tfull[None, :], tfull[:, None])
+        tw = np.zeros((n, n + 1))
+        for i in range(1, n + 1):
+            tw[i - 1, 0] = 0.5
+            tw[i - 1, 1:i] = 1.0
+            tw[i - 1, i] = 0.5
+        tw /= n
+        for r in range(spec.m):
+            k = tw @ k @ tw.T
+            if r + 1 < spec.m:
+                k = np.pad(k, ((1, 0), (1, 0)))
+        return 0.5 * (k + k.T)
+    t = grid.points
+    k = covariance(spec, t[None, :], t[:, None])
+    return 0.5 * (k + k.T)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# the specs whose build_cov evaluates each pair once on the upper triangle
+TRIANGLE_SPECS = [
+    BrownianMotion(),
+    FractionalBm(0.3),
+    FractionalBm(0.7),
+    RiemannLiouville(0.3),
+    RiemannLiouville(0.5),
+    RiemannLiouville(1.7),
+    FbmRlDifference(0.3),
+    FbmRlDifference(0.7),
+    GaussianConvolution(0.3, (1.0,)),
+    GaussianConvolution(0.7, (0.5, -2.0)),
+    Integrated(BrownianMotion(), 1),
+    Integrated(FractionalBm(0.3), 1),
+]
+
+
+PIN_CASES = [
+    (spec, n)
+    for spec in TRIANGLE_SPECS
+    + [
+        Integrated(RiemannLiouville(0.3), 1),
+        Integrated(BrownianMotion(), 2),
+        FracIntegrated(BrownianMotion(), 0.5),
+        FracIntegrated(RiemannLiouville(0.3), 1.7),
+    ]
+    for n in (1, 2, 3, 17, 64, 129, 384)
+] + [
+    # a trapezoid sandwich whose base pair function is not symmetric bit for
+    # bit; its nested double quadrature is too slow for larger grids
+    (Integrated(Integrated(RiemannLiouville(0.3), 1), 1), n)
+    for n in (1, 2, 3, 17)
+]
+
+
+@pytest.mark.parametrize("spec, n", PIN_CASES, ids=repr)
+def test_build_cov_matches_full_square_bitwise(spec, n):
+    # the sandwiches' products run at one BLAS thread on both sides, as in
+    # nystrom_eigen and the Cholesky factor
+    with processes._one_blas_thread():
+        got = build_cov(spec, Grid(n))
+        want = _full_square_cov(spec, Grid(n))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("spec", TRIANGLE_SPECS, ids=repr)
+def test_triangle_pair_functions_are_bitwise_symmetric(spec):
+    rng = np.random.default_rng(5)
+    t = Grid(129).points
+    s = np.concatenate([rng.uniform(0.0, 1.0, 500), t, t, [0.0, 0.0, 1.0]])
+    u = np.concatenate([rng.uniform(0.0, 1.0, 500), t[::-1], t, [0.0, 1.0, 1.0]])
+    assert np.array_equal(_bits(_cov_pairs(spec, s, u)), _bits(_cov_pairs(spec, u, s)))
+
+
+@pytest.mark.parametrize(
+    "spec, n, limit_mib",
+    [(GaussianConvolution(0.3, (1.0,)), 384, 24), (RiemannLiouville(0.3), 1024, 64)],
+    ids=["gc03-384", "rl03-1024"],
+)
+def test_build_cov_memory_is_per_block(spec, n, limit_mib):
+    tracemalloc.start()
+    try:
+        build_cov(spec, Grid(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
