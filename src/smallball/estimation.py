@@ -14,7 +14,9 @@ stderr points from dominating when the power law is only asymptotic.  It
 fits the pure law above and, nested in it, the law plus an additive
 constant c, kappa * eps^(-1/tau) * |log eps|^theta + c, which it keeps only
 when an F-test on the weighted residuals rejects the pure law at the 1%
-level (the Brownian sup-norm law, for one, carries c = -log(4/pi)).
+level (the Brownian sup-norm law, for one, carries c = -log(4/pi)).  The
+normal and F kernels are the scipy.special ufuncs ndtr and fdtri, with the
+bits of scipy.stats.norm.cdf and scipy.stats.f.ppf.
 """
 from __future__ import annotations
 
@@ -24,8 +26,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq, curve_fit
-from scipy.stats import f as _fdist
-from scipy.stats import norm as _normdist
+from scipy.special import fdtri, ndtr
 
 from . import _rng
 from ._lsq import gauss_newton
@@ -348,7 +349,7 @@ def _offset_fit(design, base, y, sig, pure, dof):
         rss0 = float((w0 * resid0**2).sum())
         rss1 = float((w0 * fit(w0)[2] ** 2).sum())
         f_stat = (rss0 - rss1) / (rss1 / dof1) if rss1 > 0.0 else math.inf
-        if not f_stat > _fdist.ppf(0.99, 1, dof1):
+        if not f_stat > fdtri(1, dof1, 0.99):  # scipy.stats.f.ppf's kernel
             return None
         nested = _scatter_fit(fit, sig, dof1)
     except NumericsError:
@@ -543,7 +544,5 @@ def brownian_sup_prob(eps: float) -> float:
         )
         return float(4.0 / math.pi * terms.sum())
     k = np.arange(-40, 41)
-    vals = (-1.0) ** np.abs(k) * (
-        _normdist.cdf((2.0 * k + 1.0) * eps) - _normdist.cdf((2.0 * k - 1.0) * eps)
-    )
+    vals = (-1.0) ** np.abs(k) * (ndtr((2.0 * k + 1.0) * eps) - ndtr((2.0 * k - 1.0) * eps))
     return float(min(vals.sum(), 1.0))

@@ -38,6 +38,7 @@ _NQ = 64  # Gauss-Jacobi nodes for Volterra covariances
 # triangular products contend for BLAS threads.
 BLOCK_ELEMS = 2**16
 CHOLESKY_BLOCK_ELEMS = 2**19
+_MIRROR_COLS = 64  # strip width of build_cov's triangle mirror
 
 MAX_CHOLESKY_N = 4096
 
@@ -356,10 +357,19 @@ def build_cov(spec, grid: Grid) -> np.ndarray:
         return 0.5 * (k + k.T)
     # every pair function left is bitwise symmetric, so evaluate each pair
     # once, on the upper triangle, and mirror it: 0.5 * (v + v) == v
+    n = grid.n
     t = grid.points
-    i, j = np.triu_indices(grid.n)
-    k = np.empty((grid.n, grid.n))
-    k[i, j] = k[j, i] = covariance(spec, t[j], t[i])
+    i, j = np.triu_indices(n)
+    k = np.empty((n, n))
+    k[i, j] = covariance(spec, t[j], t[i])
+    # mirror in column strips, so that each strip's transposed reads stay
+    # in cache
+    for lo in range(0, n, _MIRROR_COLS):
+        hi = min(lo + _MIRROR_COLS, n)
+        k[hi:, lo:hi] = k[lo:hi, hi:].T
+        d = k[lo:hi, lo:hi]
+        r, c = np.tril_indices(hi - lo, -1)
+        d[r, c] = d[c, r]
     return k
 
 

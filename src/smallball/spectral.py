@@ -9,6 +9,10 @@ head, doubling the mode count up to 2^22, with a stop rule per caller: the
 small-ball evaluator grows the analytic tail until what lies beyond holds at
 most 1e-3 eps^2, and the Laplace transform grows its tail (analytic, else
 fitted) until the Hurwitz series that sums the rest converges fast.
+
+Below the mean energy, small-ball probabilities come from a second-order
+saddlepoint whose normal kernel is scipy.special.log_ndtr (scipy.stats.norm's
+bits); at and above it, from Imhof's inversion by scipy.integrate.quad.
 """
 from __future__ import annotations
 
@@ -17,9 +21,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import log_ndtr
 from scipy.special import zeta as _hurwitz
-from scipy.stats import norm as _norm
 
 from ._lsq import gauss_newton
 from .errors import NumericsError, SpecError
@@ -34,6 +39,7 @@ from .processes import (
 
 _CLIP_REL = 1e-14
 _MAX_MODES = 2**22
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))  # scipy.stats.norm's logpdf constant
 
 
 @dataclass(frozen=True)
@@ -273,7 +279,8 @@ def _lr2_neg_log(lam: np.ndarray, x: float) -> float:
     l4 = k4 / k2**2
     ut = u * math.sqrt(k2)
     c = (l4 / 8.0 - 5.0 * l3**2 / 24.0) / ut - 1.0 / ut**3 - l3 / (2.0 * ut**2) + 1.0 / w**3
-    big_r = math.exp(_norm.logcdf(w) - _norm.logpdf(w))
+    # log Phi(w) - log phi(w), as scipy.stats.norm computes it
+    big_r = math.exp(log_ndtr(w) - (-(w * w) / 2.0 - _LOG_SQRT_2PI))
     g = (1.0 / w - 1.0 / ut) - c
     val = big_r + g
     if val <= 0.0:
@@ -292,10 +299,9 @@ def _upper_tail_neg_log(lam: np.ndarray, x: float) -> float:
     for any number of modes: [0, 1/lam_1] by plain quadrature, the rest as
     two QUADPACK Fourier integrals in x u / 2, which converge even for one
     mode.  Where a Chernoff bound puts P(Q > x) below 2^-54, p rounds to 1
-    and +0.0 is returned without integrating.  Elementwise sums only, so no
-    BLAS call can move the bits."""
-    from scipy.integrate import quad
-
+    and +0.0 is returned without integrating.  ``quad`` is imported with the
+    module, so the first inversion pays no import.  Elementwise sums only,
+    so no BLAS call can move the bits."""
     # P(Q > x) <= exp(-s x) E exp(s Q), with the s that is optimal when every
     # mode equals lam_1
     s = max(1.0 - float(lam.sum()) / x, 0.0) / (2.0 * lam[0])

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import smallball
 from smallball import cli
 from smallball.errors import (
     EmptyCurveError,
@@ -334,3 +338,25 @@ def test_seed_flag_overrides_config(tmp_path):
     assert cli.main(["smallball", "--config", cfg, "--out", str(a)]) == 0
     assert cli.main(["smallball", "--config", cfg, "--out", str(b), "--seed", "14"]) == 0
     assert (a / "smallball.csv").read_bytes() != (b / "smallball.csv").read_bytes()
+
+
+_STATS_LOADED = """
+import sys
+def stats():
+    return sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"])
+import smallball
+print(stats())
+import smallball.cli
+print(stats())
+"""
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs every cold start about a third of a second;
+    # the package takes its normal and F kernels from scipy.special
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smallball.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", _STATS_LOADED], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]

@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import fdtri, ndtr
+from scipy.stats import f as fdist
+from scipy.stats import norm
 
-from smallball import _rng
+from smallball import _rng, estimation
 from smallball.errors import EmptyCurveError, FitDegenerateError, SpecError
 from smallball.estimation import (
     ConverseLaw,
@@ -557,6 +560,76 @@ def test_sup_prob_monotone():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(SpecError):
         brownian_sup_prob(0.0)
+
+
+def _sup_prob_stats(eps):
+    # brownian_sup_prob's series for eps >= 1, over scipy.stats.norm.cdf
+    k = np.arange(-40, 41)
+    vals = (-1.0) ** np.abs(k) * (norm.cdf((2.0 * k + 1.0) * eps) - norm.cdf((2.0 * k - 1.0) * eps))
+    return float(min(vals.sum(), 1.0))
+
+
+def test_normal_and_f_kernels_match_scipy_stats_bitwise():
+    # brownian_sup_prob and rate_fit's F-test call the scipy.special ufuncs
+    # behind scipy.stats.norm.cdf and scipy.stats.f.ppf; they must keep
+    # those bits, or the reflection series and the offset choice would move
+    x = np.linspace(-40.0, 40.0, 200001)
+    assert np.array_equal(ndtr(x), norm.cdf(x))
+    dof1 = np.arange(1, 3000)
+    assert np.array_equal(fdtri(1, dof1, 0.99), fdist.ppf(0.99, 1, dof1))
+    for d in range(1, 3000, 37):
+        assert fdtri(1, d, 0.99) == fdist.ppf(0.99, 1, d)
+    for eps in np.linspace(1.0, 5.0, 401):
+        assert brownian_sup_prob(float(eps)) == _sup_prob_stats(float(eps))
+
+
+# float.hex of brownian_sup_prob on the normal-cdf branch, captured over
+# scipy.stats.norm.cdf
+SUP_PROB_PINNED = {
+    1.0: "0x1.7bad141c55e78p-2",
+    1.3: "0x1.39d9e24428ea8p-1",
+    2.0: "0x1.d168611c526d3p-1",
+    3.0: "0x1.fd3c43c0cf494p-1",
+    5.0: "0x1.ffffd986ba1bcp-1",
+}
+
+
+@pytest.mark.parametrize("eps, ref", SUP_PROB_PINNED.items())
+def test_sup_prob_is_pinned(eps, ref):
+    assert brownian_sup_prob(eps).hex() == ref
+
+
+def _offset_curve():
+    eps = np.geomspace(0.3, 1.0, 8)
+    return synthetic_curve(eps, [-math.log(brownian_sup_prob(e)) for e in eps])
+
+
+def _pure_curve():
+    # a power law with an alternating 1% wiggle, inside its stated errors
+    eps = np.geomspace(0.05, 0.5, 10)
+    nl = 2.0 * eps**-2.0 * (1.0 + 0.01 * (-1.0) ** np.arange(10))
+    return synthetic_curve(eps, nl, stderr=np.full(10, 0.02))
+
+
+# float.hex of (kappa, tau, r2, slope_se, offset), captured with the F-test
+# threshold from scipy.stats.f.ppf
+@pytest.mark.parametrize("make, dof1, ref", [
+    (_offset_curve, 5, ("0x1.3bd1e8c609c0bp+0", "0x1.fffeccda68f22p-2", "0x1.ffffffffee0f2p-1",
+                        "0x1.1060292c69724p-17", "-0x1.eea2a37619114p-3")),
+    (_pure_curve, 7, ("0x1.fdcc1aeb316edp+0", "0x1.ff6813dbdb92dp-2", "0x1.fffa12e4bb540p-1",
+                      "0x1.37f813d8fedaep-8", "0x0.0p+0")),
+])
+def test_rate_fit_f_test_is_pinned(make, dof1, ref, monkeypatch):
+    seen = []
+
+    def threshold(dfn, dfd, q):
+        seen.append(dfd)
+        return fdtri(dfn, dfd, q)
+
+    monkeypatch.setattr(estimation, "fdtri", threshold)
+    law = rate_fit(make())
+    assert seen == [dof1]  # the F-test decided, not the exact-fit shortcut
+    assert tuple(v.hex() for v in (law.kappa, law.tau, law.r2, law.slope_se, law.offset)) == ref
 
 
 def test_mc_smallball_reads_a_generator_once():

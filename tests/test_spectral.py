@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
+from scipy.special import log_ndtr
+from scipy.stats import norm
 
 from smallball import (
     covariance,
@@ -23,8 +24,9 @@ from smallball import (
     neg_log_laplace,
     nystrom_eigen,
 )
+from smallball import spectral
 from smallball.errors import NumericsError, SpecError
-from smallball.spectral import _fit_tail
+from smallball.spectral import _LOG_SQRT_2PI, _fit_tail
 
 # clamped-beam frequencies, roots of cos w + sech w = 0
 BEAM_W = [
@@ -156,7 +158,7 @@ def test_l2_ball_unresolved_inversion_is_numerics_error(monkeypatch):
     def unresolved(*args, **kwargs):
         return 0.0, 1.0, {}, "The maximum number of subdivisions (200) has been achieved.\n"
 
-    monkeypatch.setattr(scipy.integrate, "quad", unresolved)
+    monkeypatch.setattr(spectral, "quad", unresolved)  # bound at import
     with pytest.raises(NumericsError, match="Imhof"):
         l2_smallball(EigenSpectrum([1.0]), 1.5)
 
@@ -306,18 +308,40 @@ def test_laplace_grows_head_by_fitted_tail():
     assert abs(neg_log_laplace(spec, 100.0) - 0.5 * math.log(math.cosh(100.0))) < 1e-3
 
 
-# float.hex of the head materialiser's results, frozen from the two growth
-# loops it replaced (bm64 at 0.002 stops at the mode cap)
+# float.hex of saddlepoint values: the first three frozen from the two growth
+# loops the head materialiser replaced (bm64 at 0.002 stops at the mode cap),
+# the rest captured with scipy.stats.norm's logcdf and logpdf
 L2_PINNED = [
     (brownian_spectrum, 64, 0.01, "0x1.39256826c60fdp+10"),
     (brownian_spectrum, 64, 0.002, "0x1.e56f3b5681a89p+14"),
     (integrated_brownian_spectrum, 16, 1e-4, "0x1.5f9efc7b1c16dp+7"),
+    (brownian_spectrum, 64, 0.5, "0x1.8ecbd095ede58p-1"),
+    (brownian_spectrum, 64, 0.2, "0x1.03bd25a003f5ep+2"),
+    (brownian_spectrum, 64, 0.05, "0x1.a148b50e5ac2ep+5"),
+    (integrated_brownian_spectrum, 16, 0.2, "0x1.5695ae723ca23p-1"),
+    (integrated_brownian_spectrum, 16, 0.05, "0x1.55a4a7431af0cp+1"),
+    (integrated_brownian_spectrum, 16, 0.01, "0x1.0c6b38990de52p+3"),
+    (integrated_brownian_spectrum, 16, 1e-3, "0x1.341a4b00adf0fp+5"),
 ]
 
 
 @pytest.mark.parametrize("make, k, eps, ref", L2_PINNED)
 def test_l2_ball_materialised_head_is_pinned(make, k, eps, ref):
-    assert l2_smallball(make(k), eps).hex() == ref
+    sp = make(k)
+    assert eps * eps < sp.trace  # the saddlepoint branch
+    assert l2_smallball(sp, eps).hex() == ref
+
+
+def test_saddle_kernel_matches_scipy_stats_bitwise():
+    # the saddlepoint's log Phi(w) - log phi(w) must keep the bits of
+    # scipy.stats.norm.logcdf - logpdf, or every lower-tail value would move;
+    # w < 0 there, down to about -500 at eps = 1e-3 on Brownian motion
+    w = -np.geomspace(1e-4, 2e3, 25000)
+    assert np.array_equal(
+        log_ndtr(w) - (-(w * w) / 2.0 - _LOG_SQRT_2PI), norm.logcdf(w) - norm.logpdf(w)
+    )
+    for v in w[::50].tolist():  # the saddlepoint passes a Python float
+        assert log_ndtr(v) - (-(v * v) / 2.0 - _LOG_SQRT_2PI) == norm.logcdf(v) - norm.logpdf(v)
 
 
 @pytest.mark.parametrize("lam, ref", [(300.0, "0x1.2b4e8de8068fep+7"), (1000.0, "0x1.f3a746f3f3747p+8")])
