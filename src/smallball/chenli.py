@@ -26,19 +26,8 @@ from .estimation import (
     rate_fit,
 )
 from .norms import Lp, _regularity_gap
-from .processes import (
-    BrownianMotion,
-    FracIntegrated,
-    Grid,
-    Integrated,
-    RiemannLiouville,
-)
-from .spectral import (
-    brownian_spectrum,
-    derivative_kernel,
-    laplace_transform_l2,
-    nystrom_eigen,
-)
+from .processes import BrownianMotion, Grid, RiemannLiouville, derivative
+from .spectral import brownian_spectrum, laplace_transform_l2, nystrom_eigen
 
 _SPECTRUM_GRID = 1024
 _SPECTRUM_MODES = 4096
@@ -83,26 +72,12 @@ class ChenLiResult:
 
 
 def derivative_spectrum(target, m: float):
-    """Spectrum of the order-m derivative of the target.
-
-    Uses the exact reduction Integrated(base, m) -> base when the orders
-    match (analytic for a Brownian base), otherwise the difference-quotient
-    kernel, which needs m = 1.
-    """
-    if (isinstance(target, Integrated) and target.m == m) or (
-        isinstance(target, FracIntegrated) and target.order == m
-    ):
-        base = target.base
-        if isinstance(base, BrownianMotion):
-            return brownian_spectrum(_SPECTRUM_MODES)
-        g = Grid(_SPECTRUM_GRID)
-        return nystrom_eigen(base, g, _SPECTRUM_GRID)
-    if m == 1.0:
-        g = Grid(_SPECTRUM_GRID)
-        return nystrom_eigen(derivative_kernel(target, g), g, _SPECTRUM_GRID)
-    raise SpecError(
-        f"no derivative spectrum route for {target!r} at order {m}"
-    )
+    """Spectrum of the order-m derivative of the target: analytic when the
+    structural derivative is Brownian motion, else Nystrom on its spec."""
+    d = derivative(target, m)
+    if isinstance(d, BrownianMotion):
+        return brownian_spectrum(_SPECTRUM_MODES)
+    return nystrom_eigen(d, Grid(_SPECTRUM_GRID), _SPECTRUM_GRID)
 
 
 def _comparison_prob(comparison, norm, radius: float, n_samples: int, seed: int):

@@ -44,13 +44,13 @@ from .processes import (
     Integrated,
     RiemannLiouville,
     StableScaledFbm,
+    derivative,
     sample_paths,
     sample_positive_stable,
 )
 from .spectral import (
     EigenSpectrum,
     brownian_spectrum,
-    derivative_kernel,
     eigen_rate_fit,
     integrated_brownian_spectrum,
     laplace_transform_l2,
@@ -143,10 +143,41 @@ def _write_manifest(path, config, wall_s):
     _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
 
 
-def _require(config: dict, field: str):
-    if field not in config:
-        raise SpecError(f"config missing required field: {field}")
-    return config[field]
+_REQUIRED = object()
+
+
+def _field(config: dict, name: str, conv, default=_REQUIRED):
+    """config[name] read through conv, or default when absent; a missing
+    required field, or a value conv rejects, raises SpecError naming it."""
+    if name not in config:
+        if default is _REQUIRED:
+            raise SpecError(f"config missing required field: {name}")
+        return default
+    try:
+        return conv(config[name])
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SpecError(f"config field '{name}' is malformed: {e}") from None
+
+
+def _floats(values):
+    return [float(v) for v in values]
+
+
+def _opt_float(value):
+    return None if value is None else float(value)
+
+
+def _tau(value):
+    return math.inf if value in ("inf", None) else float(value)
+
+
+def _grid(value):
+    return Grid(int(value))
+
+
+def _int_pair(value):
+    lo, hi = value
+    return int(lo), int(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +185,10 @@ def _require(config: dict, field: str):
 
 
 def _run_simulate(cfg, out):
-    spec = _parse_spec(_require(cfg, "process"))
-    grid = Grid(int(_require(cfg, "grid_n")))
-    count = int(cfg.get("count", 8))
-    paths = sample_paths(spec, grid, count, seed=int(cfg["seed"]))
+    spec = _field(cfg, "process", _parse_spec)
+    grid = _field(cfg, "grid_n", _grid)
+    count = _field(cfg, "count", int, 8)
+    paths = sample_paths(spec, grid, count, seed=_field(cfg, "seed", int))
     header = "t," + ",".join(f"path_{j}" for j in range(count))
     rows = [
         [float(t)] + [float(v) for v in paths[:, i]]
@@ -174,12 +205,13 @@ def _curve_rows(curve):
 
 
 def _run_smallball(cfg, out):
-    spec = _parse_spec(_require(cfg, "process"))
-    norm = _parse_norm(_require(cfg, "norm"))
-    eps = [float(e) for e in _require(cfg, "eps")]
-    n_samples = int(_require(cfg, "n_samples"))
-    grid = Grid(int(cfg["grid_n"])) if "grid_n" in cfg else None
-    curve = mc_smallball(spec, norm, eps, n_samples, seed=int(cfg["seed"]), grid=grid)
+    spec = _field(cfg, "process", _parse_spec)
+    norm = _field(cfg, "norm", _parse_norm)
+    eps = _field(cfg, "eps", _floats)
+    n_samples = _field(cfg, "n_samples", int)
+    grid = _field(cfg, "grid_n", _grid, None)
+    seed = _field(cfg, "seed", int)
+    curve = mc_smallball(spec, norm, eps, n_samples, seed=seed, grid=grid)
     _write_csv(
         os.path.join(out, "smallball.csv"),
         cfg,
@@ -191,9 +223,7 @@ def _run_smallball(cfg, out):
 
 def _run_ratefit(cfg, out):
     curve = _run_smallball(cfg, out)
-    theta_fixed = cfg.get("theta_fixed", 0.0)
-    theta_fixed = None if theta_fixed is None else float(theta_fixed)
-    law = rate_fit(curve, theta_fixed=theta_fixed)
+    law = rate_fit(curve, theta_fixed=_field(cfg, "theta_fixed", _opt_float, 0.0))
     _write_json_artifact(
         os.path.join(out, "ratefit.json"),
         cfg,
@@ -207,22 +237,21 @@ def _run_ratefit(cfg, out):
 
 
 def _run_transfer(cfg, out):
-    norm = _parse_norm(_require(cfg, "norm"))
-    m = float(_require(cfg, "m"))
+    norm = _field(cfg, "norm", _parse_norm)
+    m = _field(cfg, "m", float)
     direction = cfg.get("direction", "forward")
     if direction == "forward":
-        law_cfg = _require(cfg, "law")
-        tau = law_cfg.get("tau", "inf")
-        tau = math.inf if tau in ("inf", None) else float(tau)
-        law = RateLaw(float(law_cfg["kappa"]), tau, float(law_cfg.get("theta", 0.0)))
-        kn = cfg.get("kappa_norm")
-        res = transfer_bound(law, m, norm, kappa_norm=None if kn is None else float(kn))
+        law_cfg = _field(cfg, "law", dict)
+        kappa = _field(law_cfg, "kappa", float)
+        tau = _field(law_cfg, "tau", _tau, math.inf)
+        law = RateLaw(kappa, tau, _field(law_cfg, "theta", float, 0.0))
+        kn = _field(cfg, "kappa_norm", _opt_float, None)
+        res = transfer_bound(law, m, norm, kappa_norm=kn)
     elif direction == "converse":
-        law_cfg = _require(cfg, "law")
+        law_cfg = _field(cfg, "law", dict)
+        gamma = _field(law_cfg, "gamma", float)
         res = converse_transfer(
-            ConverseLaw(float(law_cfg["gamma"]), float(law_cfg.get("delta", 0.0))),
-            m,
-            norm,
+            ConverseLaw(gamma, _field(law_cfg, "delta", float, 0.0)), m, norm
         )
     else:
         raise SpecError(f"unknown transfer direction '{direction}'")
@@ -241,18 +270,19 @@ def _run_transfer(cfg, out):
 def _run_chenli(cfg, out):
     from .chenli import ChenLiQuery, chenli_bound
 
-    target = _parse_spec(_require(cfg, "target"))
-    comparison = _parse_spec(_require(cfg, "comparison"))
-    norm = _parse_norm(_require(cfg, "norm"))
-    m = float(_require(cfg, "m"))
-    n_samples = int(_require(cfg, "n_samples"))
-    grid = Grid(int(cfg["grid_n"])) if "grid_n" in cfg else None
+    target = _field(cfg, "target", _parse_spec)
+    comparison = _field(cfg, "comparison", _parse_spec)
+    norm = _field(cfg, "norm", _parse_norm)
+    m = _field(cfg, "m", float)
+    n_samples = _field(cfg, "n_samples", int)
+    grid = _field(cfg, "grid_n", _grid, None)
+    seed = _field(cfg, "seed", int)
     rows = []
     worst = math.inf
-    for eps in sorted((float(e) for e in _require(cfg, "eps")), reverse=True):
-        for lam in sorted(float(v) for v in _require(cfg, "lam")):
+    for eps in sorted(_field(cfg, "eps", _floats), reverse=True):
+        for lam in sorted(_field(cfg, "lam", _floats)):
             q = ChenLiQuery(target, comparison, m, norm, eps, lam)
-            r = chenli_bound(q, n_samples, seed=int(cfg["seed"]), grid=grid)
+            r = chenli_bound(q, n_samples, seed=seed, grid=grid)
             rows.append([lam, eps, r.lhs, r.rhs, r.margin_se])
             worst = min(worst, r.margin_se)
     _write_csv(
@@ -269,27 +299,30 @@ def _run_chenli(cfg, out):
 
 def _make_spectrum(cfg):
     analytic = cfg.get("analytic")
-    k = int(cfg.get("modes", 256))
+    k = _field(cfg, "modes", int, 256)
+    wants_derivative = _field(cfg, "derivative", bool, False)
+    if analytic is not None and wants_derivative:
+        raise SpecError("'derivative' needs a process spectrum, not 'analytic'")
     if analytic == "bm":
         return brownian_spectrum(k)
     if analytic == "ibm":
         return integrated_brownian_spectrum(k)
     if analytic is not None:
         raise SpecError(f"unknown analytic spectrum '{analytic}'")
-    spec = _parse_spec(_require(cfg, "process"))
-    grid = Grid(int(_require(cfg, "grid_n")))
-    if cfg.get("derivative", False):
-        return nystrom_eigen(derivative_kernel(spec, grid), grid, k)
-    return nystrom_eigen(spec, grid, k)
+    spec = _field(cfg, "process", _parse_spec)
+    if wants_derivative:
+        spec = derivative(spec)
+    return nystrom_eigen(spec, _field(cfg, "grid_n", _grid), k)
 
 
 def _run_eigen(cfg, out):
     spectrum = _make_spectrum(cfg)
     rows = [[int(i + 1), float(v)] for i, v in enumerate(spectrum.lambdas)]
     _write_csv(os.path.join(out, "eigen.csv"), cfg, "k,lambda", rows)
-    if "k_range" in cfg:
-        lo, hi = cfg["k_range"]
-        slope = eigen_rate_fit(spectrum, (int(lo), int(hi)))
+    k_range = _field(cfg, "k_range", _int_pair, None)
+    if k_range is not None:
+        lo, hi = k_range
+        slope = eigen_rate_fit(spectrum, k_range)
         print(f"eigen slope over k in [{lo},{hi}]: {slope!r}")
 
 
@@ -297,10 +330,10 @@ def _run_quantize(cfg, out):
     from .quantize import quant_curve
 
     spectrum = _make_spectrum(cfg)
-    spec = _parse_spec(cfg["process"]) if "process" in cfg else None
-    budgets = [float(r) for r in _require(cfg, "budgets")]
-    n_mc = int(cfg.get("n_mc", 20000))
-    qc = quant_curve(spec, spectrum, budgets, n_mc, seed=int(cfg["seed"]))
+    spec = _field(cfg, "process", _parse_spec, None)
+    budgets = _field(cfg, "budgets", _floats)
+    n_mc = _field(cfg, "n_mc", int, 20000)
+    qc = quant_curve(spec, spectrum, budgets, n_mc, seed=_field(cfg, "seed", int))
     _write_csv(
         os.path.join(out, "quantize.csv"),
         cfg,
@@ -318,7 +351,7 @@ def _verify_all(cfg, out):
     from .fraccalc import frac_derivative, frac_integral
     from .quantize import quant_curve
 
-    seed = int(cfg["seed"])
+    seed = _field(cfg, "seed", int)
     checks = []
 
     def record(name, value, threshold, passed):
@@ -360,7 +393,7 @@ def _verify_all(cfg, out):
     g = Grid(256)
     ibm = Integrated(BrownianMotion(), 1)
     s_ibm = eigen_rate_fit(nystrom_eigen(ibm, g, 64), (5, 40))
-    s_der = eigen_rate_fit(nystrom_eigen(derivative_kernel(ibm, g), g, 64), (5, 40))
+    s_der = eigen_rate_fit(nystrom_eigen(derivative(ibm), g, 64), (5, 40))
     gap = abs((s_der - s_ibm) - 2.0)
     record("eigen_gap", gap, 0.15, gap < 0.15)
 

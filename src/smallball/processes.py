@@ -210,6 +210,19 @@ def effective_hurst(spec) -> float:
     return 1.0
 
 
+def derivative(spec, order: float = 1.0):
+    """Spec of the order-``order`` pathwise derivative, read off the
+    structure: Integrated(B, k) loses an integer order j <= k and
+    FracIntegrated(B, a) an order m <= a, giving B when nothing is left."""
+    if isinstance(spec, Integrated) and float(order).is_integer() and 0 < order <= spec.m:
+        k = spec.m - int(order)
+        return Integrated(spec.base, k) if k else spec.base
+    if isinstance(spec, FracIntegrated) and 0.0 < order <= spec.order:
+        a = spec.order - order
+        return FracIntegrated(spec.base, a) if a > 0.0 else spec.base
+    raise SpecError(f"{spec!r} has no derivative of order {order}")
+
+
 # ---------------------------------------------------------------------------
 # covariance kernels
 

@@ -28,14 +28,7 @@ from scipy.special import zeta as _hurwitz
 
 from ._lsq import gauss_newton
 from .errors import NumericsError, SpecError
-from .processes import (
-    FracIntegrated,
-    Grid,
-    Integrated,
-    _one_blas_thread,
-    build_cov,
-    covariance,
-)
+from .processes import Grid, _one_blas_thread, build_cov, derivative
 
 _CLIP_REL = 1e-14
 _MAX_MODES = 2**22
@@ -134,27 +127,12 @@ def nystrom_eigen(spec_or_matrix, grid: Grid, k: int) -> EigenSpectrum:
 
 
 def derivative_kernel(spec, grid: Grid) -> np.ndarray:
-    """Covariance matrix of the pathwise derivative, by mixed second
-    differences of the covariance over grid cells.  The diagonal, where the
-    difference quotient is biased by within-cell variance, is replaced by the
-    average of the two one-sided linear extrapolations along the row."""
-    smooth = isinstance(spec, Integrated) or (
-        isinstance(spec, FracIntegrated) and spec.order >= 1.0
-    )
-    if not smooth:
-        raise SpecError(f"{spec!r} has no differentiable version; cannot form kernel")
-    n = grid.n
-    tf = grid.full_points
-    r = covariance(spec, tf[None, :], tf[:, None])
-    d = (r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]) * n * n
-    for j in range(n):
-        left = 2.0 * d[j, j - 1] - d[j, j - 2] if j >= 2 else None
-        right = 2.0 * d[j, j + 1] - d[j, j + 2] if j <= n - 3 else None
-        if left is None and right is None:
-            raise SpecError("grid too small for diagonal extrapolation")
-        vals = [v for v in (left, right) if v is not None]
-        d[j, j] = sum(vals) / len(vals)
-    return 0.5 * (d + d.T)
+    """Covariance matrix at the grid points of the pathwise derivative,
+    assembled as the covariance of the structural derivative spec."""
+    d = derivative(spec)
+    # the bits of build_cov's sandwiches change with the BLAS thread count
+    with _one_blas_thread():
+        return build_cov(d, grid)
 
 
 # ---------------------------------------------------------------------------

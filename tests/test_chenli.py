@@ -18,6 +18,7 @@ from smallball.estimation import RateLaw, brownian_sup_prob
 from smallball.norms import Holder, Lp
 from smallball.processes import (
     BrownianMotion,
+    FracIntegrated,
     FractionalBm,
     Grid,
     Integrated,
@@ -75,6 +76,20 @@ def test_derivative_spectrum_generic_base():
     sp = derivative_spectrum(Integrated(base, 1), 1.0)
     ref = nystrom_eigen(base, Grid(1024), 8)
     assert sp.lambdas[:8] == pytest.approx(ref.lambdas, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "target, derived",
+    [
+        (Integrated(BrownianMotion(), 2), Integrated(BrownianMotion(), 1)),
+        (FracIntegrated(BrownianMotion(), 1.5), FracIntegrated(BrownianMotion(), 0.5)),
+    ],
+    ids=repr,
+)
+def test_derivative_spectrum_is_nystrom_of_derivative_spec(target, derived):
+    sp = derivative_spectrum(target, 1.0)
+    ref = nystrom_eigen(derived, Grid(1024), 1024)
+    assert np.array_equal(sp.lambdas, ref.lambdas)
 
 
 def test_derivative_spectrum_unsupported():

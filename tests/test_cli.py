@@ -106,6 +106,41 @@ def test_malformed_field_is_spec_error(tmp_path, capsys, process, norm, kind):
     assert err.startswith("error: ") and kind in err
 
 
+@pytest.mark.parametrize(
+    "kind, payload, field",
+    [
+        ("eigen", {"analytic": "bm", "modes": "x"}, "modes"),
+        ("eigen", {"analytic": "bm", "modes": 16, "k_range": 5}, "k_range"),
+        ("simulate", {"process": BM, "grid_n": "abc"}, "grid_n"),
+        ("simulate", {"process": BM, "grid_n": math.inf}, "grid_n"),
+        ("quantize", {"analytic": "bm", "modes": 16, "budgets": [1.0, "x"]}, "budgets"),
+    ],
+)
+def test_malformed_scalar_field_is_spec_error(tmp_path, capsys, kind, payload, field):
+    cfg = write_config(tmp_path, {**payload, "seed": 1})
+    code = cli.main([kind, "--config", cfg, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_eigen_rejects_derivative_of_analytic_spectrum(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"analytic": "ibm", "derivative": True, "seed": 1})
+    assert cli.main(["eigen", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "derivative" in capsys.readouterr().err
+
+
+def test_eigen_derivative_is_spectrum_of_derivative_spec(tmp_path):
+    ibm = {"kind": "integrated", "base": BM, "m": 1}
+    base = {"grid_n": 64, "modes": 16, "seed": 1}
+    der, ref = tmp_path / "der", tmp_path / "ref"
+    cfg = write_config(tmp_path, {**base, "process": ibm, "derivative": True}, "d.json")
+    assert cli.main(["eigen", "--config", cfg, "--out", str(der)]) == 0
+    cfg = write_config(tmp_path, {**base, "process": BM}, "r.json")
+    assert cli.main(["eigen", "--config", cfg, "--out", str(ref)]) == 0
+    assert read_csv(der / "eigen.csv")[1:] == read_csv(ref / "eigen.csv")[1:]
+
+
 def test_invalid_json_config(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -32,7 +32,13 @@ from smallball import (
 from smallball import _rng, processes
 from smallball.errors import SpecError
 from smallball.fraccalc import operator_matrix
-from smallball.processes import MAX_CHOLESKY_N, _cholesky_factor, _cov_pairs, map_paths
+from smallball.processes import (
+    MAX_CHOLESKY_N,
+    _cholesky_factor,
+    _cov_pairs,
+    derivative,
+    map_paths,
+)
 
 
 def test_grid_layout():
@@ -156,6 +162,48 @@ def test_effective_hurst():
     assert effective_hurst(Integrated(FractionalBm(0.3), 2)) == 1.0
     assert effective_hurst(FracIntegrated(FractionalBm(0.3), 0.1)) == pytest.approx(0.4)
     assert effective_hurst(FracIntegrated(BrownianMotion(), 0.7)) == 1.0
+
+
+BM = BrownianMotion()
+
+
+@pytest.mark.parametrize(
+    "spec, order, expected",
+    [
+        (Integrated(BM, 1), 1.0, BM),
+        (Integrated(BM, 3), 1, Integrated(BM, 2)),
+        (Integrated(BM, 3), 2.0, Integrated(BM, 1)),
+        (Integrated(FractionalBm(0.7), 2), 2, FractionalBm(0.7)),
+        (FracIntegrated(BM, 1.5), 1.0, FracIntegrated(BM, 0.5)),
+        (FracIntegrated(BM, 1.5), 0.5, FracIntegrated(BM, 1.0)),
+        (FracIntegrated(RiemannLiouville(0.3), 1.0), 1.0, RiemannLiouville(0.3)),
+        (FracIntegrated(BM, 2.5), 2.5, BM),
+    ],
+    ids=repr,
+)
+def test_derivative_by_structure(spec, order, expected):
+    assert derivative(spec, order) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        (BM, 1.0),  # rough
+        (FractionalBm(0.7), 1.0),
+        (RiemannLiouville(1.2), 1.0),
+        (FbmRlDifference(0.7), 1.0),
+        (Integrated(BM, 1), 2),  # order too high
+        (FracIntegrated(BM, 0.5), 1.0),
+        (Integrated(BM, 2), 1.5),  # non-integer order on Integrated
+        (Integrated(BM, 2), 0),
+        (FracIntegrated(BM, 1.5), 0.0),
+        (FracIntegrated(BM, 1.5), math.nan),
+    ],
+    ids=repr,
+)
+def test_derivative_rejects(spec, order):
+    with pytest.raises(SpecError):
+        derivative(spec, order)
 
 
 def test_stable_spec_has_no_covariance():

@@ -26,6 +26,7 @@ from smallball import (
 )
 from smallball import spectral
 from smallball.errors import NumericsError, SpecError
+from smallball.processes import _one_blas_thread
 from smallball.spectral import _LOG_SQRT_2PI, _fit_tail
 
 # clamped-beam frequencies, roots of cos w + sech w = 0
@@ -170,11 +171,10 @@ def test_l2_ball_monotone():
 
 
 def test_derivative_kernel_of_integrated_brownian():
-    # cell differences live at midpoints, half a step left of the nodes
+    # the derivative spec's covariance lives on the grid nodes
     g = Grid(256)
     d = derivative_kernel(Integrated(BrownianMotion(), 1), g)
-    mid = g.points - 0.5 * g.h
-    s, t = np.meshgrid(mid, mid, indexing="ij")
+    s, t = np.meshgrid(g.points, g.points, indexing="ij")
     assert np.max(np.abs(d - np.minimum(s, t))) < 1e-8
 
 
@@ -182,9 +182,16 @@ def test_derivative_kernel_of_integrated_fbm():
     h = 0.7
     g = Grid(2048)
     d = derivative_kernel(Integrated(FractionalBm(h), 1), g)
-    mid = g.points - 0.5 * g.h
-    s, t = np.meshgrid(mid, mid, indexing="ij")
+    s, t = np.meshgrid(g.points, g.points, indexing="ij")
     assert np.max(np.abs(d - covariance(FractionalBm(h), s, t))) < 1e-5
+
+
+def test_derivative_kernel_is_build_cov_of_derivative_spec():
+    g = Grid(256)
+    d = derivative_kernel(FracIntegrated(BrownianMotion(), 1.5), g)
+    with _one_blas_thread():
+        ref = build_cov(FracIntegrated(BrownianMotion(), 0.5), g)
+    assert np.array_equal(d, ref)
 
 
 def test_derivative_kernel_requires_integrated_spec():
