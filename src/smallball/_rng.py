@@ -4,7 +4,9 @@ Every seeded draw comes from a generator ``stream(seed, domain, c)``.  The
 Monte Carlo loops draw through ``map_rows``, which splits the work into
 chunks of whole sample rows; chunk c always consumes ``stream(seed, domain,
 c)`` regardless of how many workers execute the chunks, so results are
-bitwise reproducible across worker counts.
+bitwise reproducible across worker counts.  Inside a chunk, callers stream
+the rows through ``row_blocks``, drawing row by row, so the bits do not
+depend on the block size either.
 """
 from __future__ import annotations
 
@@ -89,9 +91,5 @@ def map_rows(fn, count: int, n_cols: int, seed: int, domain: int):
 
 def row_blocks(k: int, rows: int):
     """(lo, hi) blocks tiling [0, k): every block but the last holds
-    ``rows`` rows, and a lone last row joins the block before it, since BLAS
-    sends a one-row product to another kernel, whose sums differ."""
-    cuts = list(range(0, k, rows))
-    if len(cuts) > 1 and k - cuts[-1] == 1:
-        cuts.pop()
-    return list(zip(cuts, cuts[1:] + [k]))
+    ``rows`` rows."""
+    return [(lo, min(lo + rows, k)) for lo in range(0, k, rows)]

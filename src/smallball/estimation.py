@@ -31,7 +31,7 @@ from scipy.special import fdtri, ndtr
 from . import _rng
 from ._lsq import gauss_newton
 from .errors import EmptyCurveError, FitDegenerateError, NumericsError, SpecError
-from .norms import Lp, _regularity_gap, batch_norms, beta_p
+from .norms import Lp, _regularity_gap, batch_norms
 from .processes import (
     Grid,
     _gaussian_chunk,
@@ -453,11 +453,10 @@ def converse_transfer(law: ConverseLaw, m: float, norm) -> TransferResult:
     upper small-ball law of the smooth image."""
     if not (m > 0.0):
         raise SpecError(f"order m must be > 0, got {m}")
-    beta, p = beta_p(norm)
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    gap = _regularity_gap(m, norm)
     if law.gamma == 0.0:
         return TransferResult(0.0, 0.0)
-    denom = 1.0 / law.gamma - m + beta + inv_p
+    denom = 1.0 / law.gamma - gap
     if denom <= 0.0:
         raise SpecError("1/gamma - m + beta + 1/p must be positive")
     return TransferResult(1.0 / denom, law.delta / (law.gamma * denom))

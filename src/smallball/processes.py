@@ -35,7 +35,8 @@ _NQ = 64  # Gauss-Jacobi nodes for Volterra covariances
 # Row blocks of the quadrature temporaries, and of one chunk on the
 # elementwise sampling routes, hold about BLOCK_ELEMS values.  The Cholesky
 # route takes blocks of at least CHOLESKY_BLOCK_ELEMS values, since smaller
-# triangular products contend for BLAS threads.
+# triangular products contend for BLAS threads.  Every row is computed on
+# its own, so no block cut moves a bit.
 BLOCK_ELEMS = 2**16
 CHOLESKY_BLOCK_ELEMS = 2**19
 _MIRROR_COLS = 64  # strip width of build_cov's triangle mirror
@@ -232,14 +233,6 @@ def _jacobi_nodes(alpha: float):
     return roots_jacobi(_NQ, alpha, 0.0)
 
 
-def _row_blocks(rows: int, width: int):
-    """Slices over ``rows`` so that a (block, width) temporary holds about
-    BLOCK_ELEMS elements and stays in cache.  Every entry is computed on its
-    own row, so the bits do not depend on where the blocks are cut."""
-    step = max(1, BLOCK_ELEMS // width)
-    return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
-
-
 def _volterra_cov_pairs(h: float, coeffs: tuple, lo, hi) -> np.ndarray:
     """int_0^lo k(hi-u) k(lo-u) du for lo <= hi, vectorised, with the kernel
     k(x) = x^(h-1/2) g(x), g(x) = 1 + sum_j coeffs[j] x^(j+1)."""
@@ -255,8 +248,8 @@ def _volterra_cov_pairs(h: float, coeffs: tuple, lo, hi) -> np.ndarray:
     ne = np.flatnonzero(~eq)
     if ne.size:
         x, w = _jacobi_nodes(a)
-        for sl in _row_blocks(ne.size, x.size):
-            idx = ne[sl]
+        for r0, r1 in _rng.row_blocks(ne.size, max(1, BLOCK_ELEMS // x.size)):
+            idx = ne[r0:r1]
             lo_, hi_ = lo[idx, None], hi[idx, None]
             u = lo_ * (1.0 + x) / 2.0
             whi = hi_ - u
@@ -317,11 +310,11 @@ def _double_quad(base, s, t, x, w, pref) -> np.ndarray:
     """pref * sum_ij w_i w_j R_base(s x_i, t x_j) per pair, nodes x on [0, 1]."""
     nq = x.size
     out = np.empty_like(s)
-    for sl in _row_blocks(s.size, nq * nq):
-        uu = np.repeat((s[sl, None] * x)[:, :, None], nq, axis=2)
-        vv = np.repeat((t[sl, None] * x)[:, None, :], nq, axis=1)
+    for a, b in _rng.row_blocks(s.size, max(1, BLOCK_ELEMS // (nq * nq))):
+        uu = np.repeat((s[a:b, None] * x)[:, :, None], nq, axis=2)
+        vv = np.repeat((t[a:b, None] * x)[:, None, :], nq, axis=1)
         r = _cov_pairs(base, uu.ravel(), vv.ravel()).reshape(uu.shape)
-        out[sl] = pref[sl] * np.einsum("i,j,bij->b", w, w, r)
+        out[a:b] = pref[a:b] * np.einsum("i,j,bij->b", w, w, r)
     return out
 
 
@@ -483,10 +476,10 @@ def _fgn_circulant_sqrt_eigs(h: float, n: int) -> np.ndarray:
     return np.sqrt(np.maximum(eig, 0.0))
 
 
-def _gaussian_chunk(spec, grid: Grid, rows: int, rng, re) -> np.ndarray:
-    """``rows`` paths of a Gaussian spec drawn from rng.  On the circulant
-    route ``re`` holds the rows' real parts, drawn before, and rng gives the
-    imaginary parts; the other routes take None."""
+def _gaussian_chunk(spec, grid: Grid, rows: int, rng) -> np.ndarray:
+    """``rows`` paths of a Gaussian spec drawn from rng, row by row: each
+    path takes its draws (on the circulant route its 2n real parts, then its
+    2n imaginary parts) before the next path's."""
     n = grid.n
     route = _route(spec)
     if route == "cumsum":
@@ -497,7 +490,8 @@ def _gaussian_chunk(spec, grid: Grid, rows: int, rng, re) -> np.ndarray:
     if route == "circulant":
         sq = _fgn_circulant_sqrt_eigs(spec.h, n)
         m = sq.size
-        wz = re + 1j * rng.standard_normal((rows, m))
+        z = rng.standard_normal((rows, 2, m))
+        wz = z[:, 0] + 1j * z[:, 1]
         x = np.fft.ifft(sq * wz, axis=1).real * math.sqrt(m)
         fgn = x[:, :n] * grid.h**spec.h
         return np.cumsum(fgn, axis=1)
@@ -541,8 +535,8 @@ def map_paths(
     Before any draw it rejects count < 1 and specs that are neither Gaussian
     nor a stable mixture, and solves the Cholesky factor.  A stable mixture
     scales the fBm(h) blocks in place by amplitudes sqrt(A) drawn first.
-    The circulant route draws a chunk's (k, 2n) real parts before any
-    imaginary part, as a whole-chunk draw does; the others draw in C order.
+    Every route draws row by row and computes each path on its own row, so
+    no block cut moves a bit.
     """
     if count < 1:
         raise SpecError(f"count must be >= 1, got {count}")
@@ -551,14 +545,12 @@ def map_paths(
         amps = np.sqrt(stable(spec.alpha / 2.0, count, seed))
         spec = FractionalBm(spec.h)
     _require_gaussian(spec)
-    route = _route(spec)
-    if route == "cholesky":
+    if _route(spec) == "cholesky":
         _cholesky_factor(spec, grid)
 
     def one(rng, lo, k):
-        re = rng.standard_normal((k, 2 * grid.n)) if route == "circulant" else None
         for a, b in _rng.row_blocks(k, _block_rows(spec, grid.n)):
-            block = chunk(spec, grid, b - a, rng, None if re is None else re[a:b])
+            block = chunk(spec, grid, b - a, rng)
             rows = slice(lo + a, lo + b)
             if amps is not None:
                 block *= amps[rows, None]

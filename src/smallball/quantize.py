@@ -133,19 +133,14 @@ def _chunk_d2(rng, k_rows, quantizer, mids, active):
     """Squared distance of each of k_rows standard-normal draws (C order,
     d per row) to its product codeword, weighted by the eigenvalues.
 
-    The draws stream through one reused row block.  The result has the bits
-    of the whole-chunk product ``err @ lam``: BLAS's gemv sums each row alike
-    in every kernel group (4 rows in OpenBLAS's Haswell kernel) but a
-    matrix's last ``rows % 4`` rows in its own way, so every block but the
-    last holds whole groups (a multiple of 16 rows), and a one-row product
-    takes the dot kernel instead, so a last row on its own joins the block
-    before it (``_rng.row_blocks``).  Blocks this small stay under
-    OpenBLAS's threading threshold.
+    The draws stream through one reused row block.  einsum sums each row on
+    its own, without BLAS, so the bits depend neither on the block cuts nor
+    on the BLAS thread count.
     """
     lam = quantizer.spectrum.lambdas
     d = lam.size
-    block_rows = max(16, _BLOCK_ELEMS // d // 16 * 16)
-    buf = np.empty((min(block_rows + 1, k_rows), d))
+    block_rows = max(1, _BLOCK_ELEMS // d)
+    buf = np.empty((min(block_rows, k_rows), d))
     d2 = np.empty(k_rows)
     for lo, hi in _rng.row_blocks(k_rows, block_rows):
         xi = buf[: hi - lo]
@@ -155,7 +150,7 @@ def _chunk_d2(rng, k_rows, quantizer, mids, active):
         for j, k in enumerate(active):
             q = quantizer.codebooks[k][np.searchsorted(mids[k], raw[:, j])]
             xi[:, k] = (raw[:, j] - q) ** 2
-        d2[lo:hi] = xi @ lam
+        d2[lo:hi] = np.einsum("ij,j->i", xi, lam)
     return d2
 
 

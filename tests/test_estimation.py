@@ -246,9 +246,13 @@ def test_mc_smallball_matches_chunk_body_bitwise(count, route, norm_key, monkeyp
 
 @pytest.mark.parametrize(
     "spec, n, limit_mib",
-    # one worker holds one row block, not a chunk of 8192 rows (64 and 32
-    # MiB per temporary on these grids)
-    [(BrownianMotion(), 1024, 8), (Integrated(BrownianMotion(), 1), 512, 24)],
+    # one worker holds one row block, not a chunk of 8192 rows (64, 32 and
+    # 128 MiB per temporary on these grids)
+    [
+        (BrownianMotion(), 1024, 8),
+        (Integrated(BrownianMotion(), 1), 512, 24),
+        (FractionalBm(0.7), 1024, 16),
+    ],
 )
 def test_mc_smallball_memory_is_per_block(spec, n, limit_mib):
     tracemalloc.start()

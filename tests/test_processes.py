@@ -274,7 +274,8 @@ def _gaussian_chunk_reference(spec, grid, rows, rng):
         c = np.concatenate([g[:n], g[n : n + 1], g[n - 1 : 0 : -1]])
         eig = np.maximum(np.fft.fft(c).real, 0.0)
         m = eig.size
-        wz = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+        z = rng.standard_normal((rows, 2, m))
+        wz = z[:, 0] + 1j * z[:, 1]
         x = np.fft.ifft(np.sqrt(eig) * wz, axis=1).real * math.sqrt(m)
         fgn = x[:, :n] * grid.h**spec.h
         return np.cumsum(fgn, axis=1)
@@ -363,6 +364,34 @@ def test_sampling_deterministic_and_thread_invariant(monkeypatch):
         monkeypatch.delenv("SMALLBALL_THREADS")
 
 
+@pytest.mark.parametrize("elems", [1, 2**13])
+def test_block_size_does_not_move_a_bit(elems, monkeypatch):
+    # one-row blocks, and a mid size that cuts every route, quant_error's
+    # 1500 modes and the quadratures elsewhere than the defaults do; the
+    # constants stay far below a whole chunk's quadrature in one block.
+    # build_cov of FracIntegrated is a sandwich, so its pointwise covariance
+    # covers the double quadrature
+    qz = smallball.product_quantizer(smallball.brownian_spectrum(1500), 16.0)
+    frac = FracIntegrated(BrownianMotion(), 0.5)
+    t = Grid(16).points
+
+    def outputs():
+        return (
+            *(sample_paths(spec, g, 300, seed=42) for spec, g in ROUTES.values()),
+            build_cov(RiemannLiouville(0.3), Grid(64)),
+            build_cov(frac, Grid(64)),
+            covariance(frac, t[None, :], t[:, None]),
+            np.array(smallball.quant_error(BrownianMotion(), qz, 2000, seed=42)),
+        )
+
+    want = outputs()
+    monkeypatch.setattr(processes, "BLOCK_ELEMS", elems)
+    monkeypatch.setattr(processes, "CHOLESKY_BLOCK_ELEMS", elems)
+    monkeypatch.setattr(smallball.quantize, "_BLOCK_ELEMS", elems)
+    got = outputs()
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
 @pytest.mark.parametrize("rows", [1, 2, 17, 2048])
 @pytest.mark.parametrize(
     "spec, grid",
@@ -371,7 +400,7 @@ def test_sampling_deterministic_and_thread_invariant(monkeypatch):
 )
 def test_triangular_product_matches_dense_product(spec, grid, rows):
     fac = _cholesky_factor(spec, grid)
-    got = processes._gaussian_chunk(spec, grid, rows, np.random.default_rng(rows), None)
+    got = processes._gaussian_chunk(spec, grid, rows, np.random.default_rng(rows))
     z = np.random.default_rng(rows).standard_normal((rows, grid.n))
     assert got.shape == (rows, grid.n)
     assert np.abs(got - z @ fac.T).max() <= 1e-13

@@ -300,7 +300,7 @@ def _chunk_d2_unblocked(rng, k_rows, quantizer, mids, active):
         cb = quantizer.codebooks[k]
         q = cb[np.searchsorted(mids[k], xi[:, k])]
         err[:, k] = (xi[:, k] - q) ** 2
-    return err @ lam
+    return np.einsum("ij,j->i", err, lam)
 
 
 def _quant_error_unblocked(quantizer, n_mc, seed):
@@ -335,12 +335,9 @@ def _quant_error_unblocked(quantizer, n_mc, seed):
 )
 def test_chunk_d2_matches_whole_chunk_product_bitwise(spectrum, row_counts):
     # row by row, which the summed outputs can hide.  1500 modes stream
-    # 160-row blocks and 700 modes 368-row ones (2^18 // d rows would split
-    # BLAS kernel groups); 161 and 369 rows leave a last row on its own.
-    # Whole-chunk products past OpenBLAS's threading threshold (~4.6e5
-    # elements) can change with the BLAS thread count themselves, so apart
-    # from the 3616- and 8192-row chunks of n_mc = 20000 the references
-    # stay below it.
+    # 174-row blocks and 700 modes 374-row ones, so every count past one
+    # block ends in a part block; 3616 and 8192 rows are the chunks of
+    # n_mc = 20000.
     qz = product_quantizer(spectrum, 10.3)
     mids, active = _mids_and_active(qz)
     for k_rows in row_counts:

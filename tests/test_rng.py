@@ -49,22 +49,20 @@ def test_worker_count_rejects_bad_values(monkeypatch, value):
     [
         (1, 16, [(0, 1)]),
         (16, 16, [(0, 16)]),
-        (17, 16, [(0, 17)]),
+        (17, 16, [(0, 16), (16, 17)]),
         (18, 16, [(0, 16), (16, 18)]),
-        (33, 16, [(0, 16), (16, 33)]),
+        (33, 16, [(0, 16), (16, 32), (32, 33)]),
         (40, 16, [(0, 16), (16, 32), (32, 40)]),
-        (3, 1, [(0, 1), (1, 3)]),
+        (3, 1, [(0, 1), (1, 2), (2, 3)]),
     ],
 )
-def test_row_blocks_tile_and_merge_a_lone_last_row(k, rows, want):
+def test_row_blocks_tile_in_whole_blocks(k, rows, want):
     blocks = _rng.row_blocks(k, rows)
     assert blocks == want
-    # the blocks tile [0, k), all but the last hold exactly `rows` rows, and
-    # the last holds one row only when k is 1
+    # the blocks tile [0, k) and all but the last hold exactly `rows` rows
     assert blocks[0][0] == 0 and blocks[-1][1] == k
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert all(hi - lo == rows for lo, hi in blocks[:-1])
-    assert blocks[-1][1] - blocks[-1][0] > 1 or k == 1
 
 
 def test_no_generator_outside_rng():
