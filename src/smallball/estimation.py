@@ -39,7 +39,7 @@ from .processes import (
     map_paths,
     sample_positive_stable,
 )
-from .spectral import EigenSpectrum, l2_smallball
+from .spectral import EigenSpectrum, _l2_route, l2_smallball
 
 MAX_GRID = 4096
 
@@ -160,9 +160,12 @@ def mc_smallball(
 
 
 def spectral_smallball_curve(spectrum: EigenSpectrum, eps_list) -> SmallBallCurve:
-    """Exact-method curve from the spectral evaluator (stderr 0)."""
+    """Exact-method curve from the spectral evaluator (stderr 0), each entry
+    labelled with the route ``l2_smallball`` took: "saddle" or "imhof"."""
     entries = tuple(
-        CurveEntry(e, l2_smallball(spectrum, e), 0.0, None, True, True, "saddle")
+        CurveEntry(
+            e, l2_smallball(spectrum, e), 0.0, None, True, True, _l2_route(spectrum, e * e)[0]
+        )
         for e in _radii(eps_list)
     )
     return SmallBallCurve(entries, Lp(2.0), spec=None, n_samples=None, grid_n=None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import root
+from scipy.linalg import solve_banded
 from scipy.special import ndtr, ndtri
 
 from . import _rng
@@ -35,21 +35,47 @@ def _pdf(x):
     return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
-def _centroids(c: np.ndarray) -> np.ndarray:
+def _cells(c: np.ndarray):
+    """Bounds and standard-normal mass of each nearest-codeword cell."""
     b = 0.5 * (c[:-1] + c[1:])
     lo = np.concatenate([[-np.inf], b])
     hi = np.concatenate([b, [np.inf]])
-    mass = ndtr(hi) - ndtr(lo)
+    return lo, hi, ndtr(hi) - ndtr(lo)
+
+
+def _centroids(c: np.ndarray) -> np.ndarray:
+    lo, hi, mass = _cells(c)
     return (_pdf(lo) - _pdf(hi)) / mass
 
 
 def _distortion(c: np.ndarray) -> float:
-    b = 0.5 * (c[:-1] + c[1:])
-    lo = np.concatenate([[-np.inf], b])
-    hi = np.concatenate([b, [np.inf]])
-    mass = ndtr(hi) - ndtr(lo)
+    lo, hi, mass = _cells(c)
     first = _pdf(lo) - _pdf(hi)
     return float(1.0 - 2.0 * (c * first).sum() + (c * c * mass).sum())
+
+
+def _lloyd_jacobian(c: np.ndarray) -> np.ndarray:
+    """Jacobian of the Lloyd residual c - T(c), in solve_banded's (1, 1)
+    layout.
+
+    The centroid T_i of cell [b_{i-1}, b_i] with mass M_i moves by
+    phi(b_i)(b_i - T_i)/M_i per unit of b_i and by
+    phi(b_{i-1})(T_i - b_{i-1})/M_i per unit of b_{i-1}; the bounds at
+    +-inf do not move, and b_i = (c_i + c_{i+1})/2 moves by half of each
+    neighbour's move, so the Jacobian is tridiagonal.
+    """
+    lo, hi, mass = _cells(c)
+    t = (_pdf(lo) - _pdf(hi)) / mass
+    b, pb = lo[1:], _pdf(lo[1:])
+    up = 0.5 * pb * (b - t[:-1]) / mass[:-1]  # half dT_i/db_i, i < n - 1
+    down = 0.5 * pb * (t[1:] - b) / mass[1:]  # half dT_{i+1}/db_i
+    ab = np.zeros((3, c.size))
+    ab[0, 1:] = -up
+    ab[1] = 1.0
+    ab[1, :-1] -= up
+    ab[1, 1:] -= down
+    ab[2, :-1] = -down
+    return ab
 
 
 @memo
@@ -57,21 +83,30 @@ def gauss_scalar_codebook(n: int):
     """Optimal n-level standard-normal quantizer: (codebook, e(n)^2), the
     codebook cached and read-only.
 
-    Lloyd fixed point solved as a root problem (hybrid Powell), which
-    reaches a fixed-point residual of at most 1e-10 for every n up to 256.
+    Newton's method on the Lloyd residual c - T(c) with its tridiagonal
+    Jacobian, from the same start for every n (never from another level
+    count's codebook).  Each iterate is made exactly symmetric, and the
+    iteration stops at the first step whose residual does not halve,
+    keeping the best iterate; its fixed-point residual is at most 1e-10 for
+    every n up to 256.
     """
     if n < 1:
         raise SpecError(f"levels must be >= 1, got {n}")
     if n == 1:
         return np.zeros(1), 1.0
-    c0 = ndtri((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)) * 0.95
-    sol = root(lambda c: np.sort(c) - _centroids(np.sort(c)), c0, method="hybr", tol=1e-13)
-    c = np.sort(sol.x)
-    # judge by the fixed-point residual, not sol.success: MINPACK reports
-    # "not making progress" on large boards whose root is already converged
-    if np.max(np.abs(c - _centroids(c))) > 1e-10:
+    c = ndtri((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)) * 0.95
+    best, best_res = c, np.inf
+    while True:
+        c = 0.5 * (c - c[::-1])
+        f = c - _centroids(c)
+        res = np.max(np.abs(f))
+        if not res < 0.5 * best_res:  # NaN stops too
+            break
+        best, best_res = c, res
+        c = c - solve_banded((1, 1), _lloyd_jacobian(c), f)
+    if best_res > 1e-10 or not np.all(np.diff(best) > 0.0):
         raise NumericsError(f"Lloyd fixed point not reached for n={n}")
-    return c, _distortion(c)
+    return best, _distortion(best)
 
 
 @dataclass(frozen=True)

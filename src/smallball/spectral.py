@@ -314,6 +314,17 @@ def _upper_tail_neg_log(lam: np.ndarray, x: float) -> float:
     return 0.0 if p >= 1.0 else -math.log(p)
 
 
+def _l2_route(spectrum: EigenSpectrum, x: float):
+    """(route, modes) of ``l2_smallball`` at energy x = eps^2: the modes it
+    materialises, and "saddle" below their energy or "imhof" at or above
+    it."""
+    # a head still short at the mode cap is used as it is
+    lam = _materialise(
+        spectrum.lambdas, spectrum.tail, lambda k: spectrum.tail.trace_beyond(k) > 1e-3 * x
+    )
+    return ("imhof" if x >= float(lam.sum()) * (1.0 - 1e-12) else "saddle"), lam
+
+
 def l2_smallball(spectrum: EigenSpectrum, eps: float) -> float:
     """-log P(||X||_2 <= eps) for the Gaussian law with this spectrum.
 
@@ -324,11 +335,8 @@ def l2_smallball(spectrum: EigenSpectrum, eps: float) -> float:
     if not (eps > 0.0):
         raise SpecError(f"radius must be > 0, got {eps}")
     x = eps * eps
-    # a head still short at the mode cap is used as it is
-    lam = _materialise(
-        spectrum.lambdas, spectrum.tail, lambda k: spectrum.tail.trace_beyond(k) > 1e-3 * x
-    )
-    if x >= float(lam.sum()) * (1.0 - 1e-12):
+    route, lam = _l2_route(spectrum, x)
+    if route == "imhof":
         # unmaterialised modes act as exp(-s * residual trace) here, i.e. a
         # plain shift of the energy level
         resid = spectrum.tail.trace_beyond(lam.size) if spectrum.tail else 0.0

@@ -322,6 +322,21 @@ def test_spectral_curve_exact_entries():
     assert curve.n_samples is None
 
 
+def test_spectral_curve_labels_the_route_taken():
+    # eps^2 at or above the energy takes Imhof's inversion; with the analytic
+    # tail the materialised energy is the trace 1/2 to within 1e-3 eps^2
+    sp = brownian_spectrum(1024)
+    curve = spectral_smallball_curve(sp, [math.sqrt(0.5 * f) for f in (4.0, 1.2, 0.8, 0.02)])
+    assert [e.method for e in curve.entries] == ["imhof", "imhof", "saddle", "saddle"]
+    for e in curve.entries:
+        assert e.neg_log_p == l2_smallball(sp, e.eps)
+    # without a tail the energy is the head's own sum
+    head = EigenSpectrum(sp.lambdas[:4])
+    trace = float(head.lambdas.sum())
+    curve = spectral_smallball_curve(head, [math.sqrt(trace), math.sqrt(0.5 * trace)])
+    assert [e.method for e in curve.entries] == ["imhof", "saddle"]
+
+
 def test_spectral_curve_fit_recovers_brownian_rate():
     sp = brownian_spectrum(2048)
     curve = spectral_smallball_curve(sp, np.geomspace(1e-3, 1e-2, 8))

@@ -55,19 +55,38 @@ def test_codebook_distortion_table():
 
 def test_codebook_monotone_and_symmetric():
     prev = 1.0
-    for n in range(2, 17):
+    for n in range(2, quantize._MAX_LEVELS + 1):
         cb, e2 = gauss_scalar_codebook(n)
         assert e2 < prev
         prev = e2
+        assert np.all(np.diff(cb) > 0.0)
         assert cb + cb[::-1] == pytest.approx(np.zeros(n), abs=1e-10)
 
 
 def test_codebook_root_solves_every_level_count():
-    # the hybr root is the only solver, so every level count product_quantizer
-    # can request must reach the fixed point through it
+    # Newton is the only solver, so every level count product_quantizer can
+    # request must reach the fixed point through it
     for n in range(1, quantize._MAX_LEVELS + 1):
         cb = gauss_scalar_codebook(n)[0]
         assert np.max(np.abs(cb - _centroids(cb))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 131, 256])
+def test_lloyd_jacobian_matches_central_differences(n):
+    # at the Newton start and at the solved codebook; h = 1e-3 keeps the
+    # tail cells' rounding (~1e-11 in the centroids) far below the tolerance
+    h = 1e-3
+    start = ndtri((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)) * 0.95
+    for c in (start, gauss_scalar_codebook(n)[0]):
+        ab = quantize._lloyd_jacobian(c)
+        jac = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+        fd = np.empty((n, n))
+        for j in range(n):
+            step = np.zeros(n)
+            step[j] = h
+            hi, lo = c + step, c - step
+            fd[:, j] = ((hi - _centroids(hi)) - (lo - _centroids(lo))) / (2.0 * h)
+        np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
