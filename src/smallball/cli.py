@@ -181,7 +181,7 @@ def _int_pair(value):
 
 
 # ---------------------------------------------------------------------------
-# experiment handlers; each returns a list of (path, writer) artifacts
+# experiment handlers; each writes its own artifacts into `out`
 
 
 def _run_simulate(cfg, out):

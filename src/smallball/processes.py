@@ -335,15 +335,17 @@ def covariance(spec, s, t):
 
 
 def build_cov(spec, grid: Grid) -> np.ndarray:
-    """Dense covariance matrix at the interior grid points, symmetrised."""
+    """Dense covariance matrix at the interior grid points, symmetrised; its
+    products run at one BLAS thread, so its bits hold at any thread count."""
     _require_gaussian(spec)
     if isinstance(spec, FracIntegrated):
         # product-integration sandwich; exactly matches frac_integral on paths
         from .fraccalc import operator_matrix
 
-        w = operator_matrix(spec.order, grid.n)
         rb = build_cov(spec.base, grid)
-        k = w @ rb @ w.T
+        with _one_blas_thread():
+            w = operator_matrix(spec.order, grid.n)
+            k = w @ rb @ w.T
         return 0.5 * (k + k.T)
     if isinstance(spec, Integrated) and not (
         spec.m == 1 and isinstance(spec.base, (BrownianMotion, FractionalBm))
@@ -356,10 +358,11 @@ def build_cov(spec, grid: Grid) -> np.ndarray:
         tw[:, 0] = 0.5
         tw /= n
         k = rb
-        for _ in range(spec.m):
-            k = tw @ k @ tw.T
-            if _ + 1 < spec.m:
-                k = np.pad(k, ((1, 0), (1, 0)))
+        with _one_blas_thread():
+            for _ in range(spec.m):
+                k = tw @ k @ tw.T
+                if _ + 1 < spec.m:
+                    k = np.pad(k, ((1, 0), (1, 0)))
         return 0.5 * (k + k.T)
     # every pair function left is bitwise symmetric, so evaluate each pair
     # once, on the upper triangle, and mirror it: 0.5 * (v + v) == v
@@ -398,16 +401,17 @@ def _numpy_openblas_threads():
 
 _OPENBLAS_THREADS = _numpy_openblas_threads()
 # held from pinning to restoring: factors of two memo keys can be solved at
-# once, and interleaved set/restore pairs would leave a solve unpinned
-_OPENBLAS_LOCK = threading.Lock()
+# once, and interleaved set/restore pairs would leave a solve unpinned;
+# re-entrant, so that a caller's pin may enclose build_cov's own
+_OPENBLAS_LOCK = threading.RLock()
 
 
 @contextmanager
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS at one thread, then restore its
-    count.  The bits of potrf (n >= 128) and of build_cov's trapezoid
-    sandwich change with the thread count, so this keeps factors, and every
-    Cholesky path, equal across machines."""
+    count.  The bits of potrf (n >= 128), eigvalsh and build_cov's sandwich
+    products change with the thread count, so each runs under this pin and
+    factors, spectra and Cholesky paths are equal across machines."""
     if _OPENBLAS_THREADS is None:
         yield
         return
@@ -427,9 +431,9 @@ def _cholesky_factor(spec, grid: Grid) -> np.ndarray:
         raise SpecError(
             f"dense sampling supports n <= {MAX_CHOLESKY_N}, got {grid.n}"
         )
+    k = build_cov(spec, grid)
+    scale = np.trace(k) / grid.n
     with _one_blas_thread():
-        k = build_cov(spec, grid)
-        scale = np.trace(k) / grid.n
         for jit in [0.0] + [scale * 10.0**e for e in range(-12, -5)]:
             try:
                 fac = np.linalg.cholesky(k + jit * np.eye(grid.n))

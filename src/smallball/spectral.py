@@ -110,29 +110,24 @@ def nystrom_eigen(spec_or_matrix, grid: Grid, k: int) -> EigenSpectrum:
     below the relative clip (smooth kernels exhaust double precision fast)."""
     if k < 1:
         raise SpecError(f"need k >= 1 modes, got {k}")
-    # the bits of eigvalsh and of build_cov's sandwiches change with the
-    # BLAS thread count
+    if isinstance(spec_or_matrix, np.ndarray):
+        mat = spec_or_matrix
+        if mat.shape != (grid.n, grid.n):
+            raise SpecError("matrix shape does not match grid")
+    else:
+        mat = build_cov(spec_or_matrix, grid)
+    # the bits of eigvalsh change with the BLAS thread count
     with _one_blas_thread():
-        if isinstance(spec_or_matrix, np.ndarray):
-            mat = spec_or_matrix
-            if mat.shape != (grid.n, grid.n):
-                raise SpecError("matrix shape does not match grid")
-        else:
-            mat = build_cov(spec_or_matrix, grid)
         lam = np.linalg.eigvalsh(mat / grid.n)[::-1]
-    lam = lam[lam > _CLIP_REL * max(lam[0], 0.0)]
-    if lam.size == 0:
-        raise NumericsError("no positive eigenvalues survive clipping")
-    return EigenSpectrum(lam[: min(k, lam.size)])
+    if not lam[0] > 0.0:
+        raise NumericsError("covariance has no positive eigenvalue")
+    return EigenSpectrum(lam[:k])
 
 
 def derivative_kernel(spec, grid: Grid) -> np.ndarray:
     """Covariance matrix at the grid points of the pathwise derivative,
     assembled as the covariance of the structural derivative spec."""
-    d = derivative(spec)
-    # the bits of build_cov's sandwiches change with the BLAS thread count
-    with _one_blas_thread():
-        return build_cov(d, grid)
+    return build_cov(derivative(spec), grid)
 
 
 # ---------------------------------------------------------------------------

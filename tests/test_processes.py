@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import dataclass
 
@@ -413,15 +414,17 @@ for spec, n, count in [(sb.RiemannLiouville(0.3), 256, 20000),
                        (sb.Integrated(sb.RiemannLiouville(0.3), 2), 512, 100)]:
     h.update(sb.sample_paths(spec, sb.Grid(n), count, seed=5).tobytes())
 h.update(sb.nystrom_eigen(sb.RiemannLiouville(0.3), sb.Grid(512), 64).lambdas.tobytes())
+for m, n in [(1, 384), (2, 512)]:
+    h.update(sb.build_cov(sb.Integrated(sb.RiemannLiouville(0.3), m), sb.Grid(n)).tobytes())
 print(h.hexdigest())
 """
 
 
 def test_cholesky_paths_do_not_depend_on_blas_threads():
     # potrf's bits change with the thread count from n = 128 on, and so do
-    # those of the trapezoid sandwich that builds Integrated(RL(0.3), 2)'s
-    # covariance and those of eigvalsh behind nystrom_eigen; each
-    # interpreter solves its factors cold
+    # those of the trapezoid sandwich that builds Integrated(RL(0.3), m)'s
+    # covariance, inside a factor or called directly, and those of eigvalsh
+    # behind nystrom_eigen; each interpreter solves its factors cold
     src = os.path.dirname(os.path.dirname(os.path.abspath(smallball.__file__)))
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -552,6 +555,38 @@ def test_factor_pins_blas_threads_and_restores_them(monkeypatch):
     assert calls == [1, 4]
 
 
+def test_blas_pin_is_reentrant(monkeypatch):
+    calls, threads, done = [], [4], []
+
+    def set_threads(k):
+        calls.append(k)
+        threads[0] = k
+
+    monkeypatch.setattr(processes, "_OPENBLAS_THREADS", (lambda: threads[0], set_threads))
+    # a fresh lock of the module's kind, so that a pin that deadlocks leaves
+    # only this one held
+    rlock = type(threading.RLock())
+    fresh = rlock() if isinstance(processes._OPENBLAS_LOCK, rlock) else threading.Lock()
+    monkeypatch.setattr(processes, "_OPENBLAS_LOCK", fresh)
+
+    def nested():
+        with processes._one_blas_thread():
+            with processes._one_blas_thread():
+                done.append(list(calls))
+            done.append(list(calls))
+            done.append(build_cov(FracIntegrated(BrownianMotion(), 0.5), Grid(8)))
+
+    # a plain Lock deadlocks on the inner pin, so run it where a timeout
+    # fails the test instead of hanging the suite
+    worker = threading.Thread(target=nested, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "a nested BLAS pin deadlocked"
+    assert done[:2] == [[1, 1], [1, 1, 1]]
+    assert done[2].shape == (8, 8)
+    assert threads == [4]
+
+
 def _full_square_cov(spec, grid):
     """Frozen copy of build_cov's full-square assembly: every pair of the
     n x n grid, then the average with the transpose."""
@@ -622,8 +657,8 @@ PIN_CASES = [
 
 @pytest.mark.parametrize("spec, n", PIN_CASES, ids=repr)
 def test_build_cov_matches_full_square_bitwise(spec, n):
-    # the sandwiches' products run at one BLAS thread on both sides, as in
-    # nystrom_eigen and the Cholesky factor
+    # build_cov runs its sandwiches' products at one BLAS thread; so does
+    # the reference here, under a pin that encloses build_cov's own
     with processes._one_blas_thread():
         got = build_cov(spec, Grid(n))
         want = _full_square_cov(spec, Grid(n))

@@ -26,7 +26,6 @@ from smallball import (
 )
 from smallball import spectral
 from smallball.errors import NumericsError, SpecError
-from smallball.processes import _one_blas_thread
 from smallball.spectral import _LOG_SQRT_2PI, _fit_tail
 
 # clamped-beam frequencies, roots of cos w + sech w = 0
@@ -40,8 +39,9 @@ BEAM_W = [
 
 # lower-tail references for the L2 ball of the min kernel, from a
 # high-precision Laplace inversion of prod (1 + 2 s lambda_k)^{-1/2};
-# the second-order saddlepoint is ~1e-3 relative deep in the tail and
-# degrades toward ~1% as p leaves the small-ball regime
+# l2_smallball is ~1e-3 relative low deep in the tail, because its stop
+# rule leaves up to 1e-3 eps^2 of trace unmaterialised and unaccounted,
+# and its saddlepoint degrades toward ~1% as p leaves the small-ball regime
 BM_L2_NEG_LOG = {
     0.1: (14.0252776232, 1e-3),
     0.15: (6.71419224126, 1e-3),
@@ -189,8 +189,7 @@ def test_derivative_kernel_of_integrated_fbm():
 def test_derivative_kernel_is_build_cov_of_derivative_spec():
     g = Grid(256)
     d = derivative_kernel(FracIntegrated(BrownianMotion(), 1.5), g)
-    with _one_blas_thread():
-        ref = build_cov(FracIntegrated(BrownianMotion(), 0.5), g)
+    ref = build_cov(FracIntegrated(BrownianMotion(), 0.5), g)
     assert np.array_equal(d, ref)
 
 
@@ -226,6 +225,14 @@ def test_nystrom_accepts_matrix():
     sp = nystrom_eigen(build_cov(BrownianMotion(), g), g, 16)
     ref = nystrom_eigen(BrownianMotion(), g, 16)
     assert np.allclose(sp.lambdas, ref.lambdas, rtol=1e-12)
+
+
+def test_nystrom_clips_to_the_positive_modes():
+    g = Grid(8)
+    # rank one: the seven rounding-level eigenvalues fall below the clip
+    assert nystrom_eigen(np.ones((8, 8)), g, 8).lambdas.tolist() == [1.0]
+    with pytest.raises(NumericsError, match="no positive eigenvalue"):
+        nystrom_eigen(-np.eye(8), g, 8)
 
 
 def test_eigen_rate_fit_exact_power_law():
