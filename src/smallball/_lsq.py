@@ -1,9 +1,9 @@
 """Damped Gauss-Newton for the package's small nonlinear least-squares fits.
 
-Both nonlinear fitters (the offset rate law in ``estimation.rate_fit`` and the
-shifted eigenvalue law in ``spectral.eigen_rate_fit``) have three or four
-parameters and a few dozen points, so a plain Levenberg-damped Gauss-Newton
-started from the linear solution is all they need.
+All three nonlinear fitters (the offset rate law in ``estimation.rate_fit``,
+the shifted eigenvalue law in ``spectral.eigen_rate_fit`` and the growth law
+c + k lambda^b in ``estimation.debruijn_check``) have three or four parameters
+and a few dozen points, so a plain Levenberg-damped Gauss-Newton is enough.
 """
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
+from scipy.optimize import brentq
 from scipy.special import fdtri, ndtr
 
 from . import _rng
@@ -523,14 +523,16 @@ def debruijn_check(spectrum: EigenSpectrum, law: RateLaw, lam_grid=None):
     model = k_hat * phi
     dev = float(np.max(np.abs(y - model) / model))
 
-    def growth(la, c, k, b):
-        return c + k * la**b
+    def growth(p):  # c + k lambda^b
+        pw = lam_grid ** p[2]
+        jac = np.column_stack([np.ones_like(pw), pw, p[1] * pw * np.log(lam_grid)])
+        return p[0] + p[1] * pw, jac
 
-    p0 = (0.0, max(k_hat, 1e-3), max(a, 0.1))
+    p0 = np.array([0.0, max(k_hat, 1e-3), max(a, 0.1)])
     try:
-        popt, _ = curve_fit(growth, lam_grid, y, p0=p0, maxfev=20000)
+        popt = gauss_newton(growth, y, np.ones_like(y), p0)[0]
         g_coef, g_exp = float(popt[1]), float(popt[2])
-    except RuntimeError:
+    except NumericsError:
         g_coef, g_exp = math.nan, math.nan
     return DebruijnResult(k_hat, dev, g_exp, g_coef, bool(dev > 0.25))
 

@@ -63,10 +63,6 @@ class Grid:
         return np.arange(1, self.n + 1) / self.n
 
     @property
-    def full_points(self) -> np.ndarray:
-        return np.arange(0, self.n + 1) / self.n
-
-    @property
     def h(self) -> float:
         return 1.0 / self.n
 
@@ -335,38 +331,28 @@ def covariance(spec, s, t):
 
 
 def build_cov(spec, grid: Grid) -> np.ndarray:
-    """Dense covariance matrix at the interior grid points, symmetrised; its
-    products run at one BLAS thread, so its bits hold at any thread count."""
+    """Dense covariance matrix at the interior grid points.  An integrated spec
+    without a closed form is the sandwich w R w' of its base's matrix R, w
+    being frac_integral's operator, or T^m for Integrated with T the trapezoid
+    rule from the origin; its products run at one BLAS thread."""
     _require_gaussian(spec)
-    if isinstance(spec, FracIntegrated):
-        # product-integration sandwich; exactly matches frac_integral on paths
+    n = grid.n
+    if isinstance(spec, FracIntegrated) or (
+        isinstance(spec, Integrated)
+        and not (spec.m == 1 and isinstance(spec.base, (BrownianMotion, FractionalBm)))
+    ):
         from .fraccalc import operator_matrix
 
         rb = build_cov(spec.base, grid)
         with _one_blas_thread():
-            w = operator_matrix(spec.order, grid.n)
+            if isinstance(spec, FracIntegrated):
+                w = operator_matrix(spec.order, n)
+            else:
+                w = np.linalg.matrix_power((np.tri(n) - 0.5 * np.eye(n)) / n, spec.m)
             k = w @ rb @ w.T
-        return 0.5 * (k + k.T)
-    if isinstance(spec, Integrated) and not (
-        spec.m == 1 and isinstance(spec.base, (BrownianMotion, FractionalBm))
-    ):
-        # trapezoid sandwich on the full grid, applied m times
-        n = grid.n
-        tfull = grid.full_points
-        rb = covariance(spec.base, tfull[None, :], tfull[:, None])
-        tw = np.tri(n, n + 1, 1) - 0.5 * np.eye(n, n + 1, 1)
-        tw[:, 0] = 0.5
-        tw /= n
-        k = rb
-        with _one_blas_thread():
-            for _ in range(spec.m):
-                k = tw @ k @ tw.T
-                if _ + 1 < spec.m:
-                    k = np.pad(k, ((1, 0), (1, 0)))
         return 0.5 * (k + k.T)
     # every pair function left is bitwise symmetric, so evaluate each pair
     # once, on the upper triangle, and mirror it: 0.5 * (v + v) == v
-    n = grid.n
     t = grid.points
     i, j = np.triu_indices(n)
     k = np.empty((n, n))

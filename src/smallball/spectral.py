@@ -7,8 +7,9 @@ carry a power-law tail lambda_k ~ A (k + shift)^(-rho) describing the modes
 beyond the retained head.  One materialiser appends tail-law modes to the
 head, doubling the mode count up to 2^22, with a stop rule per caller: the
 small-ball evaluator grows the analytic tail until what lies beyond holds at
-most 1e-3 eps^2, and the Laplace transform grows its tail (analytic, else
-fitted) until the Hurwitz series that sums the rest converges fast.
+most 1e-3 eps^2 (at the cap it logs a warning on ``smallball.spectral``),
+and the Laplace transform grows its tail (analytic, else fitted) until the
+Hurwitz series that sums the rest converges fast (at the cap it raises).
 
 Below the mean energy, small-ball probabilities come from a second-order
 saddlepoint whose normal kernel is scipy.special.log_ndtr (scipy.stats.norm's
@@ -16,6 +17,7 @@ bits); at and above it, from Imhof's inversion by scipy.integrate.quad.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,6 +32,7 @@ from ._lsq import gauss_newton
 from .errors import NumericsError, SpecError
 from .processes import Grid, _one_blas_thread, build_cov, derivative
 
+_log = logging.getLogger(__name__)
 _CLIP_REL = 1e-14
 _MAX_MODES = 2**22
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))  # scipy.stats.norm's logpdf constant
@@ -325,17 +328,20 @@ def l2_smallball(spectrum: EigenSpectrum, eps: float) -> float:
 
     Saddlepoint (second order) on the materialised spectrum; if eps^2 is at
     or above the mean energy there is no lower saddle and Imhof's exact
-    inversion is used instead.
+    inversion is used instead.  A saddle short of modes at the cap warns.
     """
     if not (eps > 0.0):
         raise SpecError(f"radius must be > 0, got {eps}")
     x = eps * eps
     route, lam = _l2_route(spectrum, x)
+    resid = spectrum.tail.trace_beyond(lam.size) if spectrum.tail else 0.0
     if route == "imhof":
         # unmaterialised modes act as exp(-s * residual trace) here, i.e. a
         # plain shift of the energy level
-        resid = spectrum.tail.trace_beyond(lam.size) if spectrum.tail else 0.0
         return _upper_tail_neg_log(lam, x - resid)
+    if resid > 1e-3 * x:  # the head stopped short at the mode cap
+        msg = "l2_smallball at eps = %g: the %d-mode cap leaves out %.2g of eps^2"
+        _log.warning(msg, eps, _MAX_MODES, resid / x)
     return _lr2_neg_log(lam, x)
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -168,6 +169,17 @@ def test_l2_ball_monotone():
     sp = brownian_spectrum(1024)
     nl = [l2_smallball(sp, e) for e in (0.4, 0.2, 0.1, 0.05)]
     assert all(b > a for a, b in zip(nl, nl[1:]))
+
+
+@pytest.mark.parametrize("eps, warnings", [(0.002, 1), (0.1, 0)])
+def test_l2_ball_mode_cap_is_logged(caplog, eps, warnings):
+    # at eps = 0.002 the 2^22 modes leave ~0.6% of eps^2 beyond the head
+    with caplog.at_level(logging.WARNING, logger="smallball"):
+        l2_smallball(brownian_spectrum(64), eps)
+    records = [r for r in caplog.records if r.name == "smallball.spectral"]
+    assert len(records) == warnings
+    if warnings:
+        assert "eps = 0.002" in records[0].getMessage()
 
 
 def test_derivative_kernel_of_integrated_brownian():
