@@ -8,7 +8,8 @@ holds for every lam > 0, with R the comparison process tied to m by
 h = m - 1/2.  ``chenli_bound`` evaluates both sides (left by Monte Carlo,
 right by exact series / spectral Laplace transform where available) and
 reports the margin in standard errors.  ``optimize_lambda`` picks the lam
-that balances the two right-hand factors under a fitted rate law.
+that balances the two right-hand factors under a fitted rate law, at the
+closed-form balance point D* of ``estimation.transfer_bound``.
 """
 from __future__ import annotations
 
@@ -20,10 +21,11 @@ from . import _rng
 from .errors import SpecError
 from .estimation import (
     RateLaw,
-    _balance,
     brownian_sup_prob,
+    debruijn_constant,
     mc_smallball,
     rate_fit,
+    transfer_bound,
 )
 from .norms import Lp, _regularity_gap
 from .processes import BrownianMotion, Grid, RiemannLiouville, derivative
@@ -121,30 +123,27 @@ class LambdaChoice:
 
 def optimize_lambda(q: ChenLiQuery, law: RateLaw, kappa_norm: float) -> LambdaChoice:
     """Balance the two right-hand factors: with gamma = 1/(h - beta - 1/p)
-    and K the Laplace growth constant of the rate law, minimise
+    and K the Laplace growth constant of the rate law, ``transfer_bound``
+    gives the closed-form minimiser D* and minimum over D > 0 of
 
         kappa_norm * D^(-gamma) + K * D^(1/(tau+1/2))
 
-    over D > 0 and scale lam = D * eps^(-(tau+1/2)/(1/gamma+tau+1/2))
-                               * |log eps|^(-tau theta/(gamma (1/gamma+tau+1/2))).
+    and lam = D* * eps^(-(tau+1/2)/(1/gamma+tau+1/2))
+                 * |log eps|^(-tau theta/(gamma (1/gamma+tau+1/2))).
     """
     if not (0.0 < q.eps < 1.0):
         raise SpecError("lambda optimisation needs eps in (0, 1)")
-    if not (kappa_norm > 0.0):
-        raise SpecError("kappa_norm must be positive")
-    gap = _regularity_gap(q.m - 0.5, q.norm)
-    if gap <= 0.0:
-        raise SpecError("h - beta - 1/p must be positive to balance factors")
-    gamma = 1.0 / gap
     tau = law.tau
     if math.isinf(tau):
         raise SpecError("lambda optimisation needs a finite tau")
-    d_star, c_star, k_const = _balance(law, kappa_norm, gamma)
+    res = transfer_bound(law, q.m, q.norm, kappa_norm)
+    gamma = 1.0 / _regularity_gap(q.m - 0.5, q.norm)
     denom = 1.0 / gamma + tau + 0.5
-    lam = d_star * q.eps ** (-(tau + 0.5) / denom)
+    lam = res.d_star * q.eps ** (-(tau + 0.5) / denom)
     if law.theta != 0.0:
         lam *= abs(math.log(q.eps)) ** (-tau * law.theta / (gamma * denom))
-    return LambdaChoice(lam, d_star, c_star, gamma, k_const)
+    k_const = debruijn_constant(law.kappa, tau)
+    return LambdaChoice(lam, res.d_star, res.constant, gamma, k_const)
 
 
 @dataclass(frozen=True)

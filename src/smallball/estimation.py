@@ -391,47 +391,22 @@ def debruijn_constant(kappa: float, tau: float) -> float:
     )
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _balance(law: RateLaw, kappa_norm: float, gamma: float):
-    """Minimise the Chen-Li balance kappa_norm * D^(-gamma) + K * D^(1/(tau+1/2))
-    over D > 0, K the Laplace growth constant of the law: (D*, minimum, K)."""
-    k_const = debruijn_constant(law.kappa, law.tau)
-    e_pow = 1.0 / (law.tau + 0.5)
-
-    def obj(t):
-        d = math.exp(t)
-        return kappa_norm * d**-gamma + k_const * d**e_pow
-
-    t_star, c_star = _golden_min(obj, -30.0, 30.0)
-    return math.exp(t_star), c_star, k_const
-
-
 def transfer_bound(
     law: RateLaw, m: float, norm, kappa_norm: Optional[float] = None
 ) -> TransferResult:
     """Rate of the m-fold antiderivative in the given norm, from the L2 rate
     of the rough part.  The constant is resolved only when the comparison
-    norm constant is supplied; otherwise it is reported as unresolved."""
+    norm constant is supplied; otherwise it is reported as unresolved.
+
+    The resolved constant is the minimum over D > 0 of the Chen-Li balance
+    kappa_norm * D^(-g) + K * D^e, with g = 1/(m - 1/2 - beta - 1/p),
+    e = 1/(tau + 1/2) and K the Laplace growth constant of the law.  It sits
+    where g * kappa_norm * D^(-g) = e * K * D^e, in closed form
+    D* = (g kappa_norm / (e K))^(1/(g+e)), with minimum (1 + e/g) K D*^e."""
     if not (m > 0.0):
         raise SpecError(f"order m must be > 0, got {m}")
+    if kappa_norm is not None and not (0.0 < kappa_norm < math.inf):
+        raise SpecError(f"kappa_norm must be positive and finite, got {kappa_norm}")
     gap = _regularity_gap(m, norm)
     if math.isinf(law.tau):
         if gap <= 0.0:
@@ -447,8 +422,11 @@ def transfer_bound(
     gamma_gap = _regularity_gap(m - 0.5, norm)
     if gamma_gap <= 0.0:
         raise SpecError("constant resolution needs m - 1/2 - beta - 1/p > 0")
-    d_star, c_star, _k = _balance(law, kappa_norm, 1.0 / gamma_gap)
-    return TransferResult(exponent, log_exponent, constant=c_star, d_star=d_star)
+    g, e = 1.0 / gamma_gap, 1.0 / (law.tau + 0.5)
+    k_const = debruijn_constant(law.kappa, law.tau)
+    d_star = (g * kappa_norm / (e * k_const)) ** (1.0 / (g + e))
+    constant = (1.0 + e / g) * k_const * d_star**e
+    return TransferResult(exponent, log_exponent, constant=constant, d_star=d_star)
 
 
 def converse_transfer(law: ConverseLaw, m: float, norm) -> TransferResult:

@@ -288,7 +288,8 @@ def _cov_pairs(spec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
             sym = t * s**e / e + s * t**e / e
             ph = _int_fbm_phi(s, h) + _int_fbm_phi(t, h) - _int_fbm_phi(np.abs(t - s), h)
             return 0.5 * (sym - ph)
-        # double Gauss-Legendre over [0,s] x [0,t]; base kernels are continuous
+        # double Gauss-Legendre over [0,s] x [0,t]; the tensor rule straddles
+        # the base's diagonal kink, so this is good to ~1e-3 relative only
         inner = spec.base if spec.m == 1 else Integrated(spec.base, spec.m - 1)
         x, w = np.polynomial.legendre.leggauss(48)
         return _double_quad(inner, s, t, (x + 1.0) / 2.0, w / 2.0, s * t)

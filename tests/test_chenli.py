@@ -14,7 +14,12 @@ from smallball.chenli import (
 )
 from smallball.chenli import _SPECTRUM_MODES
 from smallball.errors import SpecError
-from smallball.estimation import RateLaw, brownian_sup_prob
+from smallball.estimation import (
+    RateLaw,
+    brownian_sup_prob,
+    debruijn_constant,
+    transfer_bound,
+)
 from smallball.norms import Holder, Lp
 from smallball.processes import (
     BrownianMotion,
@@ -133,10 +138,10 @@ def test_optimize_lambda_brownian_example():
     law = RateLaw(0.125, 0.5)
     choice = optimize_lambda(query(eps=0.1, lam=1.0), law, math.pi**2 / 8.0)
     d_ref = (math.pi**2 / 2.0) ** (1.0 / 3.0)
-    assert choice.d_star == pytest.approx(d_ref, abs=1e-6)
+    assert choice.d_star == pytest.approx(d_ref, rel=1e-14)
     assert choice.gamma == 2.0
     assert choice.k_const == pytest.approx(0.5, abs=1e-12)
-    assert choice.constant == pytest.approx(0.75 * d_ref, abs=1e-6)
+    assert choice.constant == pytest.approx(0.75 * d_ref, rel=1e-14)
     # eps exponent is (tau+1/2)/(1/gamma+tau+1/2) = 2/3 here
     assert choice.lam_star == pytest.approx(d_ref * 0.1 ** (-2.0 / 3.0), rel=1e-6)
 
@@ -153,8 +158,27 @@ def test_optimize_lambda_scaling_in_kappa_norm():
     law = RateLaw(0.125, 0.5)
     base = optimize_lambda(query(eps=0.1, lam=1.0), law, 1.0)
     up = optimize_lambda(query(eps=0.1, lam=1.0), law, 8.0)
-    assert up.d_star == pytest.approx(2.0 * base.d_star, rel=1e-7)
-    assert up.lam_star == pytest.approx(2.0 * base.lam_star, rel=1e-7)
+    assert up.d_star == pytest.approx(2.0 * base.d_star, rel=1e-14)
+    assert up.lam_star == pytest.approx(2.0 * base.lam_star, rel=1e-14)
+
+
+@pytest.mark.parametrize("norm", [SUP, Lp(2.0), Holder(0.3)])
+@pytest.mark.parametrize(
+    "law", [RateLaw(0.125, 0.5), RateLaw(0.4, 0.25, theta=0.5), RateLaw(2.0, 1.5)]
+)
+def test_optimize_lambda_is_stationary_point_of_transfer_balance(law, norm):
+    # m = 2 keeps h - beta - 1/p positive for all three norms
+    kappa_norm, m = 0.7, 2.0
+    q = query(eps=0.1, lam=1.0, comparison=RiemannLiouville(1.5), m=m, norm=norm)
+    choice = optimize_lambda(q, law, kappa_norm)
+    res = transfer_bound(law, m, norm, kappa_norm)
+    assert (choice.d_star, choice.constant) == (res.d_star, res.constant)
+    g, e = choice.gamma, 1.0 / (law.tau + 0.5)
+    d = res.d_star
+    pull = g * kappa_norm * d**-g
+    push = e * debruijn_constant(law.kappa, law.tau) * d**e
+    assert pull == pytest.approx(push, rel=1e-13)
+    assert res.constant == pytest.approx(kappa_norm * d**-g + push / e, rel=1e-13)
 
 
 def test_optimize_lambda_log_factor():

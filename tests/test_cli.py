@@ -22,6 +22,7 @@ from smallball.errors import (
 BM = {"kind": "bm"}
 SUP = {"kind": "lp", "p": "inf"}
 L2 = {"kind": "lp", "p": 2}
+TRANSFER_SUP = {"norm": SUP, "m": 1.0, "law": {"kappa": 0.125, "tau": 0.5}}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -114,6 +115,10 @@ def test_malformed_field_is_spec_error(tmp_path, capsys, process, norm, kind):
         ("simulate", {"process": BM, "grid_n": "abc"}, "grid_n"),
         ("simulate", {"process": BM, "grid_n": math.inf}, "grid_n"),
         ("quantize", {"analytic": "bm", "modes": 16, "budgets": [1.0, "x"]}, "budgets"),
+        *(
+            ("transfer", {**TRANSFER_SUP, "kappa_norm": kn}, "kappa_norm")
+            for kn in (0.0, -1.0, math.nan)
+        ),
     ],
 )
 def test_malformed_scalar_field_is_spec_error(tmp_path, capsys, kind, payload, field):
@@ -232,13 +237,7 @@ def test_smallball_and_ratefit_artifacts(tmp_path):
 def test_transfer_artifact_exact_values(tmp_path):
     cfg = write_config(
         tmp_path,
-        {
-            "norm": SUP,
-            "m": 1.0,
-            "law": {"kappa": 0.125, "tau": 0.5},
-            "kappa_norm": math.pi**2 / 8.0,
-            "seed": 1,
-        },
+        {**TRANSFER_SUP, "kappa_norm": math.pi**2 / 8.0, "seed": 1},
     )
     out = tmp_path / "tr"
     assert cli.main(["transfer", "--config", cfg, "--out", str(out)]) == 0
@@ -246,8 +245,8 @@ def test_transfer_artifact_exact_values(tmp_path):
     d_ref = (math.pi**2 / 2.0) ** (1.0 / 3.0)
     assert res["exponent"] == 2.0 / 3.0
     assert res["log_exponent"] == 0.0
-    assert res["d_star"] == pytest.approx(d_ref, abs=1e-6)
-    assert res["constant"] == pytest.approx(0.75 * d_ref, abs=1e-6)
+    assert res["d_star"] == pytest.approx(d_ref, rel=1e-14)
+    assert res["constant"] == pytest.approx(0.75 * d_ref, rel=1e-14)
 
 
 def test_transfer_unresolved_constant(tmp_path):

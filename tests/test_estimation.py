@@ -466,9 +466,9 @@ def test_transfer_constant_brownian_example():
     kappa_sup = math.pi**2 / 8.0
     res = transfer_bound(law, 1.0, Lp(INF), kappa_norm=kappa_sup)
     d_ref = (math.pi**2 / 2.0) ** (1.0 / 3.0)
-    assert res.d_star == pytest.approx(d_ref, abs=1e-6)
+    assert res.d_star == pytest.approx(d_ref, rel=1e-14)
     # at the optimum of A/d^2 + d/2 the value is (3/4) d_star
-    assert res.constant == pytest.approx(0.75 * d_ref, abs=1e-6)
+    assert res.constant == pytest.approx(0.75 * d_ref, rel=1e-14)
 
 
 def test_transfer_constant_scaling():
@@ -476,7 +476,13 @@ def test_transfer_constant_scaling():
     law = RateLaw(0.125, 0.5)
     base = transfer_bound(law, 1.0, Lp(INF), kappa_norm=1.0)
     scaled = transfer_bound(law, 1.0, Lp(INF), kappa_norm=8.0)
-    assert scaled.d_star == pytest.approx(2.0 * base.d_star, rel=1e-7)
+    assert scaled.d_star == pytest.approx(2.0 * base.d_star, rel=1e-14)
+
+
+def test_transfer_rejects_infinite_kappa_norm():
+    # 0, -1 and NaN are rejected through the transfer command (test_cli.py)
+    with pytest.raises(SpecError, match="kappa_norm"):
+        transfer_bound(RateLaw(0.125, 0.5), 1.0, Lp(INF), kappa_norm=math.inf)
 
 
 def test_converse_transfer():

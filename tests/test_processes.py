@@ -131,6 +131,29 @@ def test_twice_integrated_brownian_cov_is_second_order():
     assert all(a / b >= 3.5 for a, b in zip(errs, errs[1:]))
 
 
+@pytest.mark.parametrize(
+    "spec, h, a",
+    [
+        (FracIntegrated(BrownianMotion(), 0.5), 0.5, 0.5),
+        (FracIntegrated(BrownianMotion(), 1.5), 0.5, 1.5),
+        (Integrated(RiemannLiouville(0.3), 1), 0.3, 1.0),
+        (Integrated(RiemannLiouville(0.3), 2), 0.3, 2.0),
+        (FracIntegrated(RiemannLiouville(0.3), 1.7), 0.3, 1.7),
+    ],
+)
+def test_integration_sandwich_converges_to_riemann_liouville(spec, h, a):
+    # the order-a integral of RL(h) is Gamma(h+1/2)/Gamma(h+a+1/2) RL(h+a),
+    # and BM = RL(1/2), so the sandwich has an exact Volterra oracle
+    scale = (math.gamma(h + 0.5) / math.gamma(h + a + 0.5)) ** 2
+    errs = []
+    for n in (64, 128, 256):
+        exact = scale * build_cov(RiemannLiouville(h + a), Grid(n))
+        got = build_cov(spec, Grid(n))
+        errs.append(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
+    assert errs[0] < 5e-3
+    assert all(e0 / e1 >= 2.3 for e0, e1 in zip(errs, errs[1:]))
+
+
 def test_gaussian_convolution_closed_form():
     # H = 1/2 and a single linear coefficient integrate to a cubic
     spec = GaussianConvolution(0.5, (1.0,))
