@@ -4,9 +4,9 @@ Every seeded draw comes from a generator ``stream(seed, domain, c)``.  The
 Monte Carlo loops draw through ``map_rows``, which splits the work into
 chunks of whole sample rows; chunk c always consumes ``stream(seed, domain,
 c)`` regardless of how many workers execute the chunks, so results are
-bitwise reproducible across worker counts.  Inside a chunk, callers stream
-the rows through ``row_blocks``, drawing row by row, so the bits do not
-depend on the block size either.
+bitwise reproducible across worker counts.  Inside a chunk, the path
+samplers stream the rows through ``row_blocks``, drawing row by row, so the
+bits do not depend on the block size either.
 """
 from __future__ import annotations
 

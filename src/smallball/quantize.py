@@ -24,10 +24,6 @@ from .errors import NumericsError, SpecError
 from .spectral import EigenSpectrum
 
 _MAX_LEVELS = 256
-# quant_error streams each chunk through one row block of at most about this
-# many float64 elements (2 MiB), so a worker holds O(block x d), not
-# O(chunk x d)
-_BLOCK_ELEMS = 2**18
 
 
 def _pdf(x):
@@ -36,11 +32,14 @@ def _pdf(x):
 
 
 def _cells(c: np.ndarray):
-    """Bounds and standard-normal mass of each nearest-codeword cell."""
+    """Bounds and standard-normal mass of each nearest-codeword cell.  An
+    upper cell (lo >= 0) takes its mass as that of its mirror (-hi, -lo), so
+    no mass is a difference of two numbers near 1."""
     b = 0.5 * (c[:-1] + c[1:])
     lo = np.concatenate([[-np.inf], b])
     hi = np.concatenate([b, [np.inf]])
-    return lo, hi, ndtr(hi) - ndtr(lo)
+    up = lo >= 0.0
+    return lo, hi, ndtr(np.where(up, -lo, hi)) - ndtr(np.where(up, -hi, lo))
 
 
 def _centroids(c: np.ndarray) -> np.ndarray:
@@ -165,27 +164,15 @@ def product_quantizer(spectrum: EigenSpectrum, budget: float) -> Quantizer:
 
 
 def _chunk_d2(rng, k_rows, quantizer, mids, active):
-    """Squared distance of each of k_rows standard-normal draws (C order,
-    d per row) to its product codeword, weighted by the eigenvalues.
-
-    The draws stream through one reused row block.  einsum sums each row on
-    its own, without BLAS, so the bits depend neither on the block cuts nor
-    on the BLAS thread count.
-    """
+    """sum over k in ``active`` of lambda_k (xi_k - q_k(xi_k))^2 for k_rows
+    rows: each active coordinate in turn draws its k_rows normals into one
+    reused vector, and the rows accumulate in coordinate order (no BLAS)."""
     lam = quantizer.spectrum.lambdas
-    d = lam.size
-    block_rows = max(1, _BLOCK_ELEMS // d)
-    buf = np.empty((min(block_rows, k_rows), d))
-    d2 = np.empty(k_rows)
-    for lo, hi in _rng.row_blocks(k_rows, block_rows):
-        xi = buf[: hi - lo]
+    xi = np.empty(k_rows)
+    d2 = np.zeros(k_rows)
+    for k in active:
         rng.standard_normal(out=xi)
-        raw = xi[:, active]
-        np.multiply(xi, xi, out=xi)
-        for j, k in enumerate(active):
-            q = quantizer.codebooks[k][np.searchsorted(mids[k], raw[:, j])]
-            xi[:, k] = (raw[:, j] - q) ** 2
-        d2[lo:hi] = np.einsum("ij,j->i", xi, lam)
+        d2 += lam[k] * (xi - quantizer.codebooks[k][np.searchsorted(mids[k], xi)]) ** 2
     return d2
 
 
@@ -199,28 +186,38 @@ def quant_error(
 
     Works in the quantizer's own KL coordinates; the caller guarantees the
     quantizer was built on the spectrum of ``spec`` (not verifiable cheaply
-    here).  Nearest-codeword search is separable per coordinate.
+    here).  A row's squared distortion is sum_k lambda_k (xi_k - q_k(xi_k))^2,
+    and a one-level coordinate (codeword 0) contributes lambda_k xi_k^2, of
+    exact mean lambda_k.  D_hat^2 takes those means and draws only the
+    active (n_k > 1) terms, so it keeps its expectation and loses the
+    variance of the one-level terms (Rao-Blackwell); with no active
+    coordinate it is exactly (sqrt(trace), 0.0).  Chunk c of ``map_rows``
+    (d columns) draws from stream(seed, DOMAIN_QUANT, c), one active
+    coordinate after another in index order, so the budgets of a ladder on
+    a decreasing spectrum share their draws.  stderr is the delta-method
+    error of D_hat.
     """
     if n_mc < 2:
         raise SpecError("n_mc must be >= 2")
-    d = len(quantizer.levels)
+    levels = np.asarray(quantizer.levels)
     mids = [
         0.5 * (cb[:-1] + cb[1:]) if cb.size > 1 else None
         for cb in quantizer.codebooks
     ]
-    active = [k for k in range(d) if quantizer.levels[k] > 1]
+    active = np.flatnonzero(levels > 1).tolist()
+    fixed = float(quantizer.spectrum.lambdas[levels == 1].sum())
 
     def work(rng, lo, k):
         d2 = _chunk_d2(rng, k, quantizer, mids, active)
         return float(d2.sum()), float((d2 * d2).sum())
 
     s1 = s2 = 0.0
-    for a, b in _rng.map_rows(work, n_mc, d, seed, _rng.DOMAIN_QUANT):
+    for a, b in _rng.map_rows(work, n_mc, levels.size, seed, _rng.DOMAIN_QUANT):
         s1 += a
         s2 += b
     mean = s1 / n_mc
     var = max(s2 / n_mc - mean * mean, 0.0) / (n_mc - 1)
-    d_hat = math.sqrt(mean)
+    d_hat = math.sqrt(fixed + mean)
     se = math.sqrt(var) / (2.0 * d_hat) if d_hat > 0 else 0.0
     return d_hat, se
 

@@ -411,12 +411,11 @@ def test_sampling_deterministic_and_thread_invariant(monkeypatch):
 
 @pytest.mark.parametrize("elems", [1, 2**13])
 def test_block_size_does_not_move_a_bit(elems, monkeypatch):
-    # one-row blocks, and a mid size that cuts every route, quant_error's
-    # 1500 modes and the quadratures elsewhere than the defaults do; the
-    # constants stay far below a whole chunk's quadrature in one block.
-    # build_cov of FracIntegrated is a sandwich, so its pointwise covariance
-    # covers the double quadrature
-    qz = smallball.product_quantizer(smallball.brownian_spectrum(1500), 16.0)
+    # one-row blocks, and a mid size that cuts every route and the
+    # quadratures elsewhere than the defaults do; the constants stay far
+    # below a whole chunk's quadrature in one block.  build_cov of
+    # FracIntegrated is a sandwich, so its pointwise covariance covers the
+    # double quadrature
     frac = FracIntegrated(BrownianMotion(), 0.5)
     t = Grid(16).points
 
@@ -426,13 +425,11 @@ def test_block_size_does_not_move_a_bit(elems, monkeypatch):
             build_cov(RiemannLiouville(0.3), Grid(64)),
             build_cov(frac, Grid(64)),
             covariance(frac, t[None, :], t[:, None]),
-            np.array(smallball.quant_error(BrownianMotion(), qz, 2000, seed=42)),
         )
 
     want = outputs()
     monkeypatch.setattr(processes, "BLOCK_ELEMS", elems)
     monkeypatch.setattr(processes, "CHOLESKY_BLOCK_ELEMS", elems)
-    monkeypatch.setattr(smallball.quantize, "_BLOCK_ELEMS", elems)
     got = outputs()
     assert all(np.array_equal(a, b) for a, b in zip(want, got))
 

@@ -107,19 +107,23 @@ def test_codebook_against_mc_oracle(n):
     assert abs(mean - e2) < 3.0 * se
 
 
-def _centroids_stats(c):
+def _cells_stats(c):
+    # an upper cell's mass as a difference of survival functions, which is
+    # ndtr of the mirrored cell
     b = 0.5 * (c[:-1] + c[1:])
     lo = np.concatenate([[-np.inf], b])
     hi = np.concatenate([b, [np.inf]])
-    mass = norm.cdf(hi) - norm.cdf(lo)
+    mass = np.where(lo >= 0.0, norm.sf(lo) - norm.sf(hi), norm.cdf(hi) - norm.cdf(lo))
+    return lo, hi, mass
+
+
+def _centroids_stats(c):
+    lo, hi, mass = _cells_stats(c)
     return (norm.pdf(lo) - norm.pdf(hi)) / mass
 
 
 def _distortion_stats(c):
-    b = 0.5 * (c[:-1] + c[1:])
-    lo = np.concatenate([[-np.inf], b])
-    hi = np.concatenate([b, [np.inf]])
-    mass = norm.cdf(hi) - norm.cdf(lo)
+    lo, hi, mass = _cells_stats(c)
     first = norm.pdf(lo) - norm.pdf(hi)
     return float(1.0 - 2.0 * (c * first).sum() + (c * c * mass).sum())
 
@@ -138,6 +142,14 @@ def test_kernels_match_scipy_stats_bitwise():
     for n in range(2, 65):
         q = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
         assert np.array_equal(ndtri(q), norm.ppf(q))
+
+
+def test_centroids_exactly_antisymmetric():
+    # upper-cell masses come from the mirrored cell, so a symmetric codebook
+    # maps to exactly antisymmetric centroids (4.3e-11 off with 1 - ndtr)
+    for n in range(1, quantize._MAX_LEVELS + 1):
+        t = _centroids(gauss_scalar_codebook(n)[0])
+        assert np.array_equal(t, -t[::-1]), n
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +289,43 @@ def test_separable_search_equals_product_search():
 
 
 def test_quant_error_trivial_codebook_recovers_trace():
+    # no active coordinate: nothing is drawn, and the trace is exact
     sp = brownian_spectrum(1500)
     qz = product_quantizer(sp, 0.0)
     d_hat, se = quant_error(BrownianMotion(), qz, 20000, seed=21)
-    ref = math.sqrt(float(sp.lambdas.sum()))
-    assert abs(d_hat - ref) < 3.0 * se
-    assert se < 0.01
+    assert d_hat == math.sqrt(float(sp.lambdas.sum()))
+    assert se == 0.0
+
+
+def test_quant_error_takes_inactive_tail_at_its_mean():
+    # the same head under two inactive tails: the drawn part is the same, so
+    # D_hat^2 moves by exactly the tail difference and D_hat * stderr (the
+    # drawn part's spread) keeps its value
+    head = brownian_spectrum(8).lambdas.tolist()
+    sp_a = EigenSpectrum(head + [1e-4] * 400)
+    sp_b = EigenSpectrum(head + [2e-4] * 100 + [5e-5] * 50)
+    qz_a, qz_b = product_quantizer(sp_a, 6.0), product_quantizer(sp_b, 6.0)
+    assert qz_a.levels[:8] == qz_b.levels[:8] and qz_a.levels[1] > 1
+    assert set(qz_a.levels[8:]) == set(qz_b.levels[8:]) == {1}
+    d_a, se_a = quant_error(BrownianMotion(), qz_a, 20000, seed=17)
+    d_b, se_b = quant_error(BrownianMotion(), qz_b, 20000, seed=17)
+    tail_a, tail_b = float(sp_a.lambdas[8:].sum()), float(sp_b.lambdas[8:].sum())
+    assert abs((d_a**2 - d_b**2) - (tail_a - tail_b)) <= 1e-14 * d_a**2
+    assert d_a * se_a == pytest.approx(d_b * se_b, rel=1e-14)
+
+
+@pytest.mark.parametrize("budget", [2.0, 8.0])
+def test_quant_error_calibrated_against_implied_distortion(budget):
+    # z of D_hat against the exact root of sum lambda_k e(n_k)^2 over 40
+    # seeds: mean near 0 and spread near 1 (the stderr is honest)
+    qz = product_quantizer(brownian_spectrum(1500), budget)
+    exact = math.sqrt(qz.implied_distortion_sq)
+    z = []
+    for seed in range(1, 41):
+        d_hat, se = quant_error(BrownianMotion(), qz, 20000, seed=seed)
+        z.append((d_hat - exact) / se)
+    assert abs(np.mean(z)) <= 0.5
+    assert 0.7 <= np.std(z, ddof=1) <= 1.3
 
 
 def test_quant_error_validation():
@@ -309,37 +352,39 @@ def _mids_and_active(quantizer):
     return mids, active
 
 
-def _chunk_d2_unblocked(rng, k_rows, quantizer, mids, active):
-    """A chunk drawn and squared as one k_rows x d matrix: the reference the
-    row-block streaming must reproduce bit for bit."""
+def _chunk_d2_matrix(rng, k_rows, quantizer, mids, active):
+    """A chunk's active coordinates drawn as one len(active) x k_rows matrix
+    from the same stream: the reference the per-coordinate draws must
+    reproduce bit for bit."""
     lam = quantizer.spectrum.lambdas
-    xi = rng.standard_normal((k_rows, lam.size))
-    err = xi * xi
-    for k in active:
-        cb = quantizer.codebooks[k]
-        q = cb[np.searchsorted(mids[k], xi[:, k])]
-        err[:, k] = (xi[:, k] - q) ** 2
-    return np.einsum("ij,j->i", err, lam)
+    xi = rng.standard_normal((len(active), k_rows))
+    d2 = np.zeros(k_rows)
+    for j, k in enumerate(active):
+        q = quantizer.codebooks[k][np.searchsorted(mids[k], xi[j])]
+        d2 += lam[k] * (xi[j] - q) ** 2
+    return d2
 
 
-def _quant_error_unblocked(quantizer, n_mc, seed):
+def _quant_error_matrix(quantizer, n_mc, seed):
     mids, active = _mids_and_active(quantizer)
+    lam = quantizer.spectrum.lambdas
+    fixed = float(lam[np.asarray(quantizer.levels) == 1].sum())
     rows = _rng.chunk_rows(len(mids), n_mc)
     n_chunks = -(-n_mc // rows)
 
     def work(c):
         rng = _rng.stream(seed, _rng.DOMAIN_QUANT, c)
         k_rows = min(rows, n_mc - c * rows)
-        d2 = _chunk_d2_unblocked(rng, k_rows, quantizer, mids, active)
-        return float(d2.sum()), float((d2 * d2).sum()), k_rows
+        d2 = _chunk_d2_matrix(rng, k_rows, quantizer, mids, active)
+        return float(d2.sum()), float((d2 * d2).sum())
 
     s1 = s2 = 0.0
-    for a, b, _k in _rng.map_chunks(work, n_chunks):
+    for a, b in _rng.map_chunks(work, n_chunks):
         s1 += a
         s2 += b
     mean = s1 / n_mc
     var = max(s2 / n_mc - mean * mean, 0.0) / (n_mc - 1)
-    d_hat = math.sqrt(mean)
+    d_hat = math.sqrt(fixed + mean)
     se = math.sqrt(var) / (2.0 * d_hat) if d_hat > 0 else 0.0
     return d_hat, se
 
@@ -352,33 +397,28 @@ def _quant_error_unblocked(quantizer, n_mc, seed):
     ],
     ids=["bm1500", "ibm700"],
 )
-def test_chunk_d2_matches_whole_chunk_product_bitwise(spectrum, row_counts):
-    # row by row, which the summed outputs can hide.  1500 modes stream
-    # 174-row blocks and 700 modes 374-row ones, so every count past one
-    # block ends in a part block; 3616 and 8192 rows are the chunks of
-    # n_mc = 20000.
+def test_chunk_d2_matches_one_matrix_draw_bitwise(spectrum, row_counts):
+    # row by row, which the summed outputs can hide; 3616 and 8192 rows are
+    # the chunks of n_mc = 20000
     qz = product_quantizer(spectrum, 10.3)
     mids, active = _mids_and_active(qz)
     for k_rows in row_counts:
         got = quantize._chunk_d2(np.random.default_rng(k_rows), k_rows, qz, mids, active)
-        ref = _chunk_d2_unblocked(np.random.default_rng(k_rows), k_rows, qz, mids, active)
+        ref = _chunk_d2_matrix(np.random.default_rng(k_rows), k_rows, qz, mids, active)
         assert np.array_equal(got, ref), k_rows
 
 
 @pytest.mark.parametrize(
     "spectrum, budget, n_mc",
     [
-        # 20000 rows of 1500 modes: chunks of 8192, 8192 and 3616 rows, none
-        # a whole number of row blocks
+        # 20000 rows of 1500 modes: chunks of 8192, 8192 and 3616 rows
         (brownian_spectrum(1500), 0.0, 20000),
         (brownian_spectrum(1500), 1.0, 20000),
         (brownian_spectrum(1500), 16.0, 20000),
         (integrated_brownian_spectrum(1500), 10.3, 20000),
         (brownian_spectrum(1500), 5.5, 2),
         (brownian_spectrum(1500), 5.5, 37),
-        # 161 rows: one 160-row block and a last row on its own
         (brownian_spectrum(1500), 5.5, 161),
-        # 700 modes: 2^18 // 700 = 374 rows would split BLAS kernel groups
         (integrated_brownian_spectrum(700), 10.3, 4000),
         (EigenSpectrum([1.0]), 3.0, 4000),
         (EigenSpectrum([1.0] * 4), math.log(24.0), 4000),
@@ -388,9 +428,9 @@ def test_chunk_d2_matches_whole_chunk_product_bitwise(spectrum, row_counts):
         "one_mode", "all_active",
     ],
 )
-def test_quant_error_matches_unblocked_bitwise(spectrum, budget, n_mc):
+def test_quant_error_matches_matrix_draw_bitwise(spectrum, budget, n_mc):
     qz = product_quantizer(spectrum, budget)
-    assert quant_error(BrownianMotion(), qz, n_mc, seed=7) == _quant_error_unblocked(
+    assert quant_error(BrownianMotion(), qz, n_mc, seed=7) == _quant_error_matrix(
         qz, n_mc, 7
     )
 
@@ -406,8 +446,9 @@ def test_quant_error_deterministic_over_workers(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
-def test_quant_error_memory_is_bounded_by_the_block(monkeypatch):
-    # drawing whole chunks held two 8192 x 1500 float64 matrices (~188 MiB)
+def test_quant_error_memory_is_bounded(monkeypatch):
+    # drawing whole chunks held two 8192 x 1500 float64 matrices (~188 MiB);
+    # a chunk now holds a few vectors of its rows
     monkeypatch.setenv("SMALLBALL_THREADS", "1")
     qz = product_quantizer(brownian_spectrum(1500), 16.0)
     tracemalloc.start()
