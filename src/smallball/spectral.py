@@ -4,12 +4,16 @@ Covariance operators on L2[0,1] are represented by their eigenvalue
 sequences, either analytically known or estimated from a grid covariance
 matrix by the Nystrom rule (eigenvalues of CovMatrix / n).  A spectrum may
 carry a power-law tail lambda_k ~ A (k + shift)^(-rho) describing the modes
-beyond the retained head.  One materialiser appends tail-law modes to the
-head, doubling the mode count up to 2^22, with a stop rule per caller: the
-small-ball evaluator grows the analytic tail until what lies beyond holds at
-most 1e-3 eps^2 (at the cap it logs a warning on ``smallball.spectral``),
-and the Laplace transform grows its tail (analytic, else fitted) until the
-Hurwitz series that sums the rest converges fast (at the cap it raises).
+beyond the retained head.  Tail-law modes extend the head, the mode count
+doubling up to 2^22 under a stop rule per caller: the small-ball evaluator
+counts modes until the analytic tail beyond holds at most 1e-3 eps^2 (at the
+cap it logs a warning on ``smallball.spectral``), and the Laplace transform
+until the Hurwitz series that sums the rest of its tail (analytic, else
+fitted) converges fast (at the cap it raises).  The Laplace transform and
+Imhof's inversion materialise every counted mode.  The saddlepoint
+materialises only the first M, the smallest doubling of the head of at least
+8192 modes with 2 v lambda_(M+1) <= 1/4 at its saddle variable v, and sums the
+tail-law modes from M to the stop count by Hurwitz power sums.
 
 Below the mean energy, small-ball probabilities come from a second-order
 saddlepoint whose normal kernel is scipy.special.log_ndtr (scipy.stats.norm's
@@ -177,16 +181,18 @@ def _effective_tail(spectrum: EigenSpectrum) -> Optional[SpectralTail]:
     return _fit_tail(spectrum.lambdas)
 
 
-def _materialise(lam: np.ndarray, tail: Optional[SpectralTail], short) -> np.ndarray:
-    """The head ``lam`` followed by tail-law modes: the mode count doubles
-    from the head's while ``short(count)`` holds, up to ``_MAX_MODES``, where
-    each caller decides what a head still short means.  No tail, no growth."""
-    if tail is None:
-        return lam
-    k_head = lam.size
-    while k_head < _MAX_MODES and short(k_head):
-        k_head = min(2 * k_head, _MAX_MODES)
-    k = np.arange(lam.size + 1, k_head + 1, dtype=float)
+def _grown(count: int, short, cap: int = _MAX_MODES) -> int:
+    """The mode count, doubled while ``short(count)`` holds, up to ``cap``,
+    where each caller decides what a head still short means."""
+    while count < cap and short(count):
+        count = min(2 * count, cap)
+    return count
+
+
+def _materialise(lam: np.ndarray, tail: Optional[SpectralTail], count: int) -> np.ndarray:
+    """The head ``lam`` followed by tail-law modes up to ``count`` modes (the
+    head alone, with or without a tail, at its own size)."""
+    k = np.arange(lam.size + 1, count + 1, dtype=float)
     return np.concatenate([lam, tail.values(k)]) if k.size else lam
 
 
@@ -204,9 +210,11 @@ def neg_log_laplace(spectrum: EigenSpectrum, lam: float) -> float:
     def short(k):  # the series argument past k modes is not inside |q| <= 1/2
         return t2 * tail.values(np.array([k + 1.0]))[0] > 0.5
 
-    ev = _materialise(spectrum.lambdas, tail, short)
-    if tail is not None and short(ev.size):
-        raise NumericsError("tail materialisation exceeded mode cap")
+    ev = spectrum.lambdas
+    if tail is not None:
+        ev = _materialise(ev, tail, _grown(ev.size, short))
+        if short(ev.size):
+            raise NumericsError("tail materialisation exceeded mode cap")
     total = 0.5 * float(np.log1p(t2 * ev).sum())
     if tail is not None:
         q, a = t2 * tail.coef, ev.size + 1 + tail.shift
@@ -229,11 +237,130 @@ def laplace_transform_l2(spectrum: EigenSpectrum, lam: float) -> float:
 # small-ball evaluation
 
 
-def _lr2_neg_log(lam: np.ndarray, x: float) -> float:
-    """Second-order saddlepoint lower-tail of Q = sum lam_k xi_k^2 at x."""
+# The saddlepoint sums the tail-law modes past an explicit prefix by power
+# series in y = 2 v lam_k <= 1/4: lam^m / (1 + y)^m = lam^m sum_j
+# C(j + m - 1, m - 1) (-y)^j and log(1 + y) = -sum_j (-y)^j / j, whose power
+# sums over k are Hurwitz zeta values.  At y = 1/4 the first omitted term of
+# the fourth-order sum is ~1e-20 of it.
+_TERMS = 40
+# Up to this many modes the saddlepoint sums every mode as an array: that
+# costs less than building the power sums, and keeps those values' bits.
+_EXPLICIT_MODES = 8192
+_J = np.arange(float(_TERMS))
+_BINOM = (np.ones(_TERMS), _J + 1.0, (_J + 1.0) * (_J + 2.0) / 2.0,
+          (_J + 1.0) * (_J + 2.0) * (_J + 3.0) / 6.0)  # C(j + m - 1, m - 1), m = 1..4
+# B_2k / (2k)!, k = 1..8, for the Euler-Maclaurin remainder of zeta
+_EM_COEF = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                     -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000])
+
+
+def _scaled_zeta(s: np.ndarray, c: float) -> np.ndarray:
+    """c^s zeta(s, c) = sum_{n >= 0} (1 + n / c)^-s, elementwise over s > 1.
+
+    scipy's Hurwitz zeta times c^s where both stay normal; where they would
+    not (zeta underflows past s log c ~ 708), the first n terms directly and
+    the rest by the Euler-Maclaurin remainder at c + n >= 2 s, scaled by
+    (1 + n / c)^-s."""
+    out = np.empty_like(s)
+    direct = s * abs(math.log(c)) <= 600.0
+    out[direct] = c ** s[direct] * _hurwitz(s[direct], c)
+    s = s[~direct]
+    if s.size:
+        n = np.maximum(np.ceil(2.0 * s - c), 0.0)
+        a = (c + n)[:, None]
+        # (s)_(2k - 1) / a^(2k - 1) = prod_{i < 2k - 1} (s + i) / a
+        ratio = (s[:, None] + np.arange(2.0 * _EM_COEF.size - 1.0)) / a
+        terms = _EM_COEF * np.cumprod(ratio, axis=1)[:, ::2]
+        rest = a[:, 0] / (s - 1.0) + 0.5 + terms.sum(axis=1)
+        j = np.arange(n.max())
+        head = np.where(j < n[:, None], np.exp(-s[:, None] * np.log1p(j / c)), 0.0)
+        out[~direct] = head.sum(axis=1) + np.exp(-s * np.log1p(n / c)) * rest
+    return out
+
+
+class _TailSums:
+    """The saddlepoint's sums over the tail-law modes lo + 1..hi, from their
+    power sums sum_{k > n} lam_k^j = p_n^j Z_j(c_n) past n = lo and n = hi:
+    p_n = lam_(n + 1), c_n = n + 1 + shift and Z_j(c) = c^(j rho)
+    zeta(j rho, c), so that y = 2 v p_n <= 1/4 keeps every term finite."""
+
+    def __init__(self, tail: SpectralTail, lo: int, hi: int, z_hi: np.ndarray):
+        self.p = np.array([tail.values(lo + 1.0), tail.values(hi + 1.0)])[:, None]
+        z = np.stack([_past_zeta(tail, lo), z_hi])
+        # the weight of (-y)^j: +-p^m C(j + m - 1, m - 1) Z_(j + m), the sum
+        # past lo less the sum past hi
+        sign = np.array([1.0, -1.0])[:, None]
+        self.w = [
+            sign * self.p**m * _BINOM[m - 1] * z[:, m - 1 : m - 1 + _TERMS] for m in (1, 2, 3, 4)
+        ]
+        self.w_log = -sign * z[:, :_TERMS] / (_J + 1.0)  # of (-y)^(j + 1)
+
+    def _powers(self, v: float) -> np.ndarray:
+        # (-y)^j at both ends, j = 0.._TERMS - 1
+        t = np.empty((2, _TERMS))
+        t[:, 0], t[:, 1:] = 1.0, -2.0 * v * self.p
+        return np.cumprod(t, axis=1)
+
+    def moment(self, v: float, m: int) -> float:
+        """sum_{lo < k <= hi} lam_k^m / (1 + 2 v lam_k)^m"""
+        return float((self.w[m - 1] * self._powers(v)).sum())
+
+    def log1p(self, v: float) -> float:
+        """sum_{lo < k <= hi} log(1 + 2 v lam_k)"""
+        return float((self.w_log * self._powers(v) * (-2.0 * v * self.p)).sum())
+
+
+def _past_zeta(tail: SpectralTail, n: int) -> np.ndarray:
+    # Z_j(n + 1 + shift) for j = 1.._TERMS + 3
+    return _scaled_zeta(tail.power * np.arange(1.0, _TERMS + 4.0), n + 1.0 + tail.shift)
+
+
+class _NoTail:
+    def moment(self, v: float, m: int) -> float:
+        return 0.0
+
+    def log1p(self, v: float) -> float:
+        return 0.0
+
+
+_NO_TAIL = _NoTail()
+
+
+def _saddle_modes(spectrum: EigenSpectrum, count: int):
+    """modes(v) for ``_lr2_neg_log`` over the first ``count`` modes of the
+    spectrum: modes 1..M as an array and modes M + 1..count by their power
+    sums, where M is the smallest doubling of the head of at least
+    ``_EXPLICIT_MODES`` modes with 2 v lam_(M + 1) <= 1/4, at most count.
+    The arrays are cached by M."""
+    lam, tail = spectrum.lambdas, spectrum.tail
+    split, z_count = {}, _past_zeta(tail, count)
+
+    def modes(v):
+        m = _grown(
+            lam.size,
+            lambda k: k < _EXPLICIT_MODES or 2.0 * v * tail.values(k + 1.0) > 0.25,
+            count,
+        )
+        if m not in split:
+            rest = _TailSums(tail, m, count, z_count) if m < count else _NO_TAIL
+            split[m] = (_materialise(lam, tail, m), rest)
+        return split[m]
+
+    return modes
+
+
+def _lr2_neg_log(modes, x: float) -> float:
+    """Second-order saddlepoint lower-tail of Q = sum lam_k xi_k^2 at x.
+    ``modes`` is the array lam, or a function giving (lam, rest) at the
+    saddle variable v: modes summed elementwise and a ``_TailSums`` over the
+    others."""
+    split = None if isinstance(modes, np.ndarray) else modes
 
     def kprime_gap(v):
-        return float((lam / (1.0 + 2.0 * v * lam)).sum()) - x
+        if split is None:
+            return float((modes / (1.0 + 2.0 * v * modes)).sum()) - x
+        lam, rest = split(v)
+        return float((lam / (1.0 + 2.0 * v * lam)).sum()) + rest.moment(v, 1) - x
 
     v_hi = 1.0
     while kprime_gap(v_hi) > 0.0:
@@ -242,15 +369,16 @@ def _lr2_neg_log(lam: np.ndarray, x: float) -> float:
             raise NumericsError("saddlepoint bracket failed")
     v = brentq(kprime_gap, 0.0, v_hi, rtol=8.9e-16, maxiter=200)
     u = -v
+    lam, rest = (modes, _NO_TAIL) if split is None else split(v)
     r = 1.0 + 2.0 * v * lam
-    cgf = -0.5 * float(np.log(r).sum())
+    cgf = -0.5 * (float(np.log(r).sum()) + rest.log1p(v))
     s2 = 2.0 * (u * x - cgf)
     if s2 <= 0.0:
         raise NumericsError("degenerate saddlepoint")
     w = -math.sqrt(s2)  # lower tail: u < 0
-    k2 = float((2.0 * lam**2 / r**2).sum())
-    k3 = float((8.0 * lam**3 / r**3).sum())
-    k4 = float((48.0 * lam**4 / r**4).sum())
+    k2 = float((2.0 * lam**2 / r**2).sum()) + 2.0 * rest.moment(v, 2)
+    k3 = float((8.0 * lam**3 / r**3).sum()) + 8.0 * rest.moment(v, 3)
+    k4 = float((48.0 * lam**4 / r**4).sum()) + 48.0 * rest.moment(v, 4)
     l3 = k3 / k2**1.5
     l4 = k4 / k2**2
     ut = u * math.sqrt(k2)
@@ -313,36 +441,45 @@ def _upper_tail_neg_log(lam: np.ndarray, x: float) -> float:
 
 
 def _l2_route(spectrum: EigenSpectrum, x: float):
-    """(route, modes) of ``l2_smallball`` at energy x = eps^2: the modes it
-    materialises, and "saddle" below their energy or "imhof" at or above
-    it."""
-    # a head still short at the mode cap is used as it is
-    lam = _materialise(
-        spectrum.lambdas, spectrum.tail, lambda k: spectrum.tail.trace_beyond(k) > 1e-3 * x
-    )
-    return ("imhof" if x >= float(lam.sum()) * (1.0 - 1e-12) else "saddle"), lam
+    """(route, count) of ``l2_smallball`` at energy x = eps^2: the number of
+    modes it sums, the head grown while the tail beyond holds more than
+    1e-3 x (a count still short at the mode cap used as it is), and "saddle"
+    below the energy of those modes or "imhof" at or above it.  Builds no
+    mode array."""
+    lam, tail = spectrum.lambdas, spectrum.tail
+    count, energy = lam.size, float(lam.sum())
+    if tail is not None:
+        count = _grown(count, lambda k: tail.trace_beyond(k) > 1e-3 * x)
+        energy += tail.trace_beyond(lam.size) - tail.trace_beyond(count)
+    return ("imhof" if x >= energy * (1.0 - 1e-12) else "saddle"), count
 
 
 def l2_smallball(spectrum: EigenSpectrum, eps: float) -> float:
     """-log P(||X||_2 <= eps) for the Gaussian law with this spectrum.
 
-    Saddlepoint (second order) on the materialised spectrum; if eps^2 is at
-    or above the mean energy there is no lower saddle and Imhof's exact
-    inversion is used instead.  A saddle short of modes at the cap warns.
+    Saddlepoint (second order) over the head and the tail-law modes up to the
+    stop count of ``_l2_route``: only the first M modes are materialised
+    (``_saddle_modes``), the rest summed by Hurwitz power sums.  If eps^2 is
+    at or above the mean energy there is no lower saddle, and Imhof's exact
+    inversion runs on all the modes instead.  A saddle short of modes at the
+    cap warns.
     """
     if not (eps > 0.0):
         raise SpecError(f"radius must be > 0, got {eps}")
     x = eps * eps
-    route, lam = _l2_route(spectrum, x)
-    resid = spectrum.tail.trace_beyond(lam.size) if spectrum.tail else 0.0
+    route, count = _l2_route(spectrum, x)
+    tail = spectrum.tail
+    resid = tail.trace_beyond(count) if tail else 0.0
     if route == "imhof":
         # unmaterialised modes act as exp(-s * residual trace) here, i.e. a
         # plain shift of the energy level
-        return _upper_tail_neg_log(lam, x - resid)
+        return _upper_tail_neg_log(_materialise(spectrum.lambdas, tail, count), x - resid)
     if resid > 1e-3 * x:  # the head stopped short at the mode cap
         msg = "l2_smallball at eps = %g: the %d-mode cap leaves out %.2g of eps^2"
         _log.warning(msg, eps, _MAX_MODES, resid / x)
-    return _lr2_neg_log(lam, x)
+    if count <= _EXPLICIT_MODES:
+        return _lr2_neg_log(_materialise(spectrum.lambdas, tail, count), x)
+    return _lr2_neg_log(_saddle_modes(spectrum, count), x)
 
 
 def eigen_rate_fit(spectrum: EigenSpectrum, k_range) -> float:

@@ -9,7 +9,7 @@ from scipy.special import fdtri, ndtr
 from scipy.stats import f as fdist
 from scipy.stats import norm
 
-from smallball import _rng, estimation
+from smallball import _rng, estimation, spectral
 from smallball.errors import EmptyCurveError, FitDegenerateError, SpecError
 from smallball.estimation import (
     ConverseLaw,
@@ -335,6 +335,33 @@ def test_spectral_curve_labels_the_route_taken():
     trace = float(head.lambdas.sum())
     curve = spectral_smallball_curve(head, [math.sqrt(trace), math.sqrt(0.5 * trace)])
     assert [e.method for e in curve.entries] == ["imhof", "saddle"]
+
+
+@pytest.mark.parametrize("f, route", [(0.999, "saddle"), (1.001, "imhof")])
+@pytest.mark.parametrize(
+    "sp",
+    [
+        brownian_spectrum(64),
+        integrated_brownian_spectrum(16),
+        EigenSpectrum(brownian_spectrum(64).lambdas),
+    ],
+)
+def test_spectral_curve_label_is_the_branch_taken(monkeypatch, sp, f, route):
+    # just below and above the energy of the modes the stop rule keeps, the
+    # label must name the evaluator that l2_smallball ran
+    count = spectral._l2_route(sp, sp.trace)[1]
+    energy = sp.trace
+    if sp.tail is not None:
+        energy += sp.tail.trace_beyond(len(sp)) - sp.tail.trace_beyond(count)
+    assert spectral._l2_route(sp, f * energy)[1] == count
+    # the evaluators are stubbed: this close to the energy the saddlepoint
+    # expansion loses positivity on spectra led by few modes
+    taken = []
+    for name in ("_lr2_neg_log", "_upper_tail_neg_log"):
+        monkeypatch.setattr(spectral, name, lambda *args, _name=name: taken.append(_name) or 1.0)
+    (entry,) = spectral_smallball_curve(sp, [math.sqrt(f * energy)]).entries
+    assert taken == ["_lr2_neg_log" if route == "saddle" else "_upper_tail_neg_log"]
+    assert entry.method == route
 
 
 def test_spectral_curve_fit_recovers_brownian_rate():

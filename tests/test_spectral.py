@@ -1,8 +1,13 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import log_ndtr
 from scipy.stats import norm
 
@@ -180,6 +185,114 @@ def test_l2_ball_mode_cap_is_logged(caplog, eps, warnings):
     assert len(records) == warnings
     if warnings:
         assert "eps = 0.002" in records[0].getMessage()
+
+
+# The saddlepoint as it was when it summed every one of the stop rule's modes
+# as one array, frozen as the reference for the power sums that now stand in
+# for the modes past an explicit prefix.
+def _frozen_modes(spectrum, x):
+    lam, tail = spectrum.lambdas, spectrum.tail
+    k_head = lam.size
+    while k_head < 2**22 and tail.trace_beyond(k_head) > 1e-3 * x:
+        k_head = min(2 * k_head, 2**22)
+    k = np.arange(lam.size + 1, k_head + 1, dtype=float)
+    return np.concatenate([lam, tail.values(k)]) if k.size else lam
+
+
+def _frozen_lr2_neg_log(lam, x):
+    def kprime_gap(v):
+        return float((lam / (1.0 + 2.0 * v * lam)).sum()) - x
+
+    v_hi = 1.0
+    while kprime_gap(v_hi) > 0.0:
+        v_hi *= 4.0
+    v = brentq(kprime_gap, 0.0, v_hi, rtol=8.9e-16, maxiter=200)
+    u = -v
+    r = 1.0 + 2.0 * v * lam
+    cgf = -0.5 * float(np.log(r).sum())
+    w = -math.sqrt(2.0 * (u * x - cgf))
+    k2 = float((2.0 * lam**2 / r**2).sum())
+    k3 = float((8.0 * lam**3 / r**3).sum())
+    k4 = float((48.0 * lam**4 / r**4).sum())
+    l3 = k3 / k2**1.5
+    l4 = k4 / k2**2
+    ut = u * math.sqrt(k2)
+    c = (l4 / 8.0 - 5.0 * l3**2 / 24.0) / ut - 1.0 / ut**3 - l3 / (2.0 * ut**2) + 1.0 / w**3
+    big_r = math.exp(log_ndtr(w) - (-(w * w) / 2.0 - _LOG_SQRT_2PI))
+    val = big_r + (1.0 / w - 1.0 / ut) - c
+    return 0.5 * w * w + 0.5 * math.log(2.0 * math.pi) - math.log(val)
+
+
+def _power_law_spectrum(k):
+    j = np.arange(1.0, k + 1.0)
+    return EigenSpectrum(0.7 * (j - 0.3) ** -2.6, tail=SpectralTail(0.7, 2.6, -0.3))
+
+
+TAILED = [
+    (brownian_spectrum, 64),
+    (brownian_spectrum, 256),
+    (brownian_spectrum, 2048),
+    (integrated_brownian_spectrum, 16),
+    (integrated_brownian_spectrum, 256),
+    (_power_law_spectrum, 48),
+]
+
+
+@pytest.mark.parametrize("make, k", TAILED)
+def test_l2_ball_power_sums_match_materialised_modes(make, k):
+    # from 0.9 of the root mean energy down to a radius whose stop rule asks
+    # for all 2^22 modes
+    sp = make(k)
+    trace = sp.trace + sp.tail.trace_beyond(len(sp))
+    eps_cap = math.sqrt(500.0 * sp.tail.trace_beyond(2**21))
+    summed = 0
+    for eps in np.geomspace(0.9 * math.sqrt(trace), eps_cap, 7):
+        x = eps * eps
+        lam = _frozen_modes(sp, x)
+        summed += lam.size > spectral._EXPLICIT_MODES
+        ref = _frozen_lr2_neg_log(lam, x)
+        assert abs(l2_smallball(sp, eps) / ref - 1.0) <= 1e-12, eps
+        del lam
+    assert summed >= 3  # the deepest radii go through the power sums
+
+
+def test_l2_ball_deep_radius_materialises_few_modes():
+    # the stop rule asks for 2^20 modes here (32 MiB as one array); the
+    # saddlepoint builds only the prefix with 2 v lam_(M + 1) <= 1/4
+    sp = brownian_spectrum(256)
+    tracemalloc.start()
+    try:
+        l2_smallball(sp, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+_DEEP_HEX = """
+import smallball as sb
+for sp, radii in [(sb.brownian_spectrum(256), (0.05, 0.01, 0.005)),
+                  (sb.integrated_brownian_spectrum(256), (1e-6, 1e-7, 1e-8))]:
+    print(*(sb.l2_smallball(sp, e).hex() for e in radii))
+"""
+
+
+def test_deep_l2_radii_do_not_depend_on_blas_threads():
+    # the power sums and the explicit prefix use elementwise sums only, so
+    # no BLAS thread count can move the bits of a deep radius
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    outs = []
+    for blas in ("1", None):
+        run_env = dict(env, OPENBLAS_NUM_THREADS=blas) if blas else env
+        out = subprocess.run(
+            [sys.executable, "-c", _DEEP_HEX], env=run_env, capture_output=True,
+            text=True, check=True,
+        )
+        outs.append(out.stdout)
+    assert len(outs[0].split()) == 6
+    assert outs[0] == outs[1]
 
 
 def test_derivative_kernel_of_integrated_brownian():
