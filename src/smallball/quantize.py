@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg import solve_banded
 from scipy.special import ndtr, ndtri
 
 from . import _rng
@@ -54,9 +54,8 @@ def _distortion(c: np.ndarray) -> float:
 
 
 def _lloyd_jacobian(c: np.ndarray) -> np.ndarray:
-    """Jacobian of the Lloyd residual c - T(c), in the banded (1, 1) layout
-    of ``scipy.linalg.solve_banded``: rows are the super-, main and
-    sub-diagonal.
+    """Jacobian of the Lloyd residual c - T(c), in solve_banded's (1, 1)
+    layout.
 
     The centroid T_i of cell [b_{i-1}, b_i] with mass M_i moves by
     phi(b_i)(b_i - T_i)/M_i per unit of b_i and by
@@ -103,13 +102,7 @@ def gauss_scalar_codebook(n: int):
         if not res < 0.5 * best_res:  # NaN stops too
             break
         best, best_res = c, res
-        # LAPACK gtsv, the routine solve_banded((1, 1), ...) runs, without
-        # its input validation
-        ab = _lloyd_jacobian(c)
-        step, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], f)[3:]
-        if info != 0:
-            raise NumericsError(f"singular Lloyd Jacobian for n={n}")
-        c = c - step
+        c = c - solve_banded((1, 1), _lloyd_jacobian(c), f)
     if best_res > 1e-10 or not np.all(np.diff(best) > 0.0):
         raise NumericsError(f"Lloyd fixed point not reached for n={n}")
     return best, _distortion(best)

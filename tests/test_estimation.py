@@ -344,6 +344,7 @@ def test_spectral_curve_labels_the_route_taken():
         brownian_spectrum(64),
         integrated_brownian_spectrum(16),
         EigenSpectrum(brownian_spectrum(64).lambdas),
+        EigenSpectrum(brownian_spectrum(10000).lambdas),
     ],
 )
 def test_spectral_curve_label_is_the_branch_taken(monkeypatch, sp, f, route):

@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 from scipy.special import ndtri
 from scipy.stats import norm
 
@@ -70,31 +69,6 @@ def test_codebook_root_solves_every_level_count():
     for n in range(1, quantize._MAX_LEVELS + 1):
         cb = gauss_scalar_codebook(n)[0]
         assert np.max(np.abs(cb - _centroids(cb))) <= 1e-10
-
-
-def _solve_banded_codebook(n):
-    # the Newton loop as it ran through solve_banded, frozen as the reference
-    # for the direct LAPACK gtsv call
-    if n == 1:
-        return np.zeros(1), 1.0
-    c = ndtri((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)) * 0.95
-    best, best_res = c, np.inf
-    while True:
-        c = 0.5 * (c - c[::-1])
-        f = c - _centroids(c)
-        res = np.max(np.abs(f))
-        if not res < 0.5 * best_res:
-            break
-        best, best_res = c, res
-        c = c - solve_banded((1, 1), quantize._lloyd_jacobian(c), f)
-    return best, quantize._distortion(best)
-
-
-def test_codebook_gtsv_matches_solve_banded_bitwise():
-    for n in range(1, quantize._MAX_LEVELS + 1):
-        cb, e2 = gauss_scalar_codebook(n)
-        ref_cb, ref_e2 = _solve_banded_codebook(n)
-        assert cb.tobytes() == ref_cb.tobytes() and e2 == ref_e2, n
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 131, 256])

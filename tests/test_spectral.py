@@ -219,7 +219,8 @@ def _frozen_lr2_neg_log(lam, x):
     ut = u * math.sqrt(k2)
     c = (l4 / 8.0 - 5.0 * l3**2 / 24.0) / ut - 1.0 / ut**3 - l3 / (2.0 * ut**2) + 1.0 / w**3
     big_r = math.exp(log_ndtr(w) - (-(w * w) / 2.0 - _LOG_SQRT_2PI))
-    val = big_r + (1.0 / w - 1.0 / ut) - c
+    g = (1.0 / w - 1.0 / ut) - c
+    val = big_r + g
     return 0.5 * w * w + 0.5 * math.log(2.0 * math.pi) - math.log(val)
 
 
@@ -254,6 +255,16 @@ def test_l2_ball_power_sums_match_materialised_modes(make, k):
         assert abs(l2_smallball(sp, eps) / ref - 1.0) <= 1e-12, eps
         del lam
     assert summed >= 3  # the deepest radii go through the power sums
+
+
+def test_l2_ball_tailless_spectrum_past_explicit_modes_is_unchanged():
+    # a spectrum without a tail counts exactly its own modes, however many;
+    # past _EXPLICIT_MODES they are still summed as one array, bit for bit
+    lam = brownian_spectrum(10000).lambdas
+    assert lam.size > spectral._EXPLICIT_MODES
+    sp = EigenSpectrum(lam)
+    for eps in (0.5, 0.1, 0.03):
+        assert l2_smallball(sp, eps) == _frozen_lr2_neg_log(lam, eps * eps), eps
 
 
 def test_l2_ball_deep_radius_materialises_few_modes():
