@@ -491,7 +491,7 @@ def debruijn_check(spectrum: EigenSpectrum, law: RateLaw, lam_grid=None):
     if lam_grid is None:
         lam_grid = np.geomspace(10.0, 1e3, 16)
     lam_grid = np.asarray(lam_grid, dtype=float)
-    if np.any(lam_grid < 10.0 - 1e-9) or np.any(lam_grid > 1e3 + 1e-6):
+    if not np.all((lam_grid >= 10.0 - 1e-9) & (lam_grid <= 1e3 + 1e-6)):  # NaN too
         raise SpecError("lambda grid must lie within [10, 1000]")
     y = np.array([neg_log_laplace(spectrum, la) for la in lam_grid])
     a = 1.0 / (law.tau + 0.5)

@@ -5,15 +5,16 @@ sequences, either analytically known or estimated from a grid covariance
 matrix by the Nystrom rule (eigenvalues of CovMatrix / n).  A spectrum may
 carry a power-law tail lambda_k ~ A (k + shift)^(-rho) describing the modes
 beyond the retained head.  Tail-law modes extend the head, the mode count
-doubling up to 2^22 under a stop rule per caller: the small-ball evaluator
-counts modes until the analytic tail beyond holds at most 1e-3 eps^2 (at the
-cap it logs a warning on ``smallball.spectral``), and the Laplace transform
-until the Hurwitz series that sums the rest of its tail (analytic, else
-fitted) converges fast (at the cap it raises).  The Laplace transform and
-Imhof's inversion materialise every counted mode.  The saddlepoint
-materialises only the first M, the smallest doubling of the head of at least
-8192 modes with 2 v lambda_(M+1) <= 1/4 at its saddle variable v, and sums the
-tail-law modes from M to the stop count by Hurwitz power sums.
+doubling up to 2^22.  The small-ball evaluator counts modes until the
+analytic tail beyond holds at most 1e-3 eps^2 (at the cap it logs a warning
+on ``smallball.spectral``); Imhof's inversion materialises every counted
+mode.  The saddlepoint materialises only the first M, the smallest doubling
+of the head of at least 8192 modes with 2 v lambda_(M+1) <= 1/4 at its saddle
+variable v, and sums the tail-law modes from M to the stop count by Hurwitz
+power sums.  The Laplace transform takes the same rule at v = lambda^2 / 2
+from the head itself (at the cap it raises), and sums every tail-law mode
+past M, of the analytic tail or else of one fitted to the head, by the same
+power sums.
 
 Below the mean energy, small-ball probabilities come from a second-order
 saddlepoint whose normal kernel is scipy.special.log_ndtr (scipy.stats.norm's
@@ -175,12 +176,6 @@ def _fit_tail(lam: np.ndarray) -> Optional[SpectralTail]:
     return SpectralTail(math.exp(c), rho, -delta, fitted=True)
 
 
-def _effective_tail(spectrum: EigenSpectrum) -> Optional[SpectralTail]:
-    if spectrum.tail is not None:
-        return spectrum.tail
-    return _fit_tail(spectrum.lambdas)
-
-
 def _grown(count: int, short, cap: int = _MAX_MODES) -> int:
     """The mode count, doubled while ``short(count)`` holds, up to ``cap``,
     where each caller decides what a head still short means."""
@@ -197,35 +192,32 @@ def _materialise(lam: np.ndarray, tail: Optional[SpectralTail], count: int) -> n
 
 
 def neg_log_laplace(spectrum: EigenSpectrum, lam: float) -> float:
-    """-log E exp(-(lam^2 / 2) ||X||_2^2) for the Gaussian law with this
-    spectrum; head summed directly, tail by alternating Hurwitz-zeta series
-    to a relative truncation target of 1e-8."""
-    if lam < 0.0:
-        raise SpecError(f"lambda must be >= 0, got {lam}")
+    """-log E exp(-(lam^2 / 2) ||X||_2^2) = (1/2) sum_k log(1 + lam^2 lam_k)
+    for the Gaussian law with this spectrum, exact to rounding.
+
+    The spectrum's tail (analytic, else fitted to the head; none if that
+    fails) extends the head to the saddlepoint's count at v = lam^2 / 2:
+    the smallest doubling M with lam^2 lam_(M + 1) <= 1/4.  Modes 1..M are
+    summed as an array and the tail-law modes past M by their Hurwitz power
+    sums.  A head still short at the 2^22-mode cap raises NumericsError.
+    """
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise SpecError(f"lambda must be finite and >= 0, got {lam}")
     if lam == 0.0:
         return 0.0
-    tail = _effective_tail(spectrum)
-    t2 = lam * lam
+    head, t2 = spectrum.lambdas, lam * lam
+    tail = spectrum.tail if spectrum.tail is not None else _fit_tail(head)
+    if tail is None:
+        return 0.5 * float(np.log1p(t2 * head).sum())
 
-    def short(k):  # the series argument past k modes is not inside |q| <= 1/2
-        return t2 * tail.values(np.array([k + 1.0]))[0] > 0.5
+    def short(k):  # y = lam^2 lam_(k + 1) past k modes is above 1/4
+        return t2 * tail.values(k + 1.0) > 0.25
 
-    ev = spectrum.lambdas
-    if tail is not None:
-        ev = _materialise(ev, tail, _grown(ev.size, short))
-        if short(ev.size):
-            raise NumericsError("tail materialisation exceeded mode cap")
-    total = 0.5 * float(np.log1p(t2 * ev).sum())
-    if tail is not None:
-        q, a = t2 * tail.coef, ev.size + 1 + tail.shift
-        term_sum = 0.0
-        for j in range(1, 200):
-            term = (-1.0) ** (j + 1) * q**j * _hurwitz(j * tail.power, a) / j
-            term_sum += term
-            if abs(term) < 1e-10 * max(abs(total + 0.5 * term_sum), 1e-30):
-                break
-        total += 0.5 * term_sum
-    return total
+    m = _grown(head.size, short)
+    if short(m):
+        raise NumericsError("tail materialisation exceeded mode cap")
+    rest = _TailSums(tail, m, math.inf, np.zeros(_TERMS + 3)).log1p(0.5 * t2)
+    return 0.5 * (float(np.log1p(t2 * _materialise(head, tail, m)).sum()) + rest)
 
 
 def laplace_transform_l2(spectrum: EigenSpectrum, lam: float) -> float:
@@ -237,11 +229,11 @@ def laplace_transform_l2(spectrum: EigenSpectrum, lam: float) -> float:
 # small-ball evaluation
 
 
-# The saddlepoint sums the tail-law modes past an explicit prefix by power
-# series in y = 2 v lam_k <= 1/4: lam^m / (1 + y)^m = lam^m sum_j
-# C(j + m - 1, m - 1) (-y)^j and log(1 + y) = -sum_j (-y)^j / j, whose power
-# sums over k are Hurwitz zeta values.  At y = 1/4 the first omitted term of
-# the fourth-order sum is ~1e-20 of it.
+# The Laplace transform and the saddlepoint sum the tail-law modes past an
+# explicit prefix by power series in y = 2 v lam_k <= 1/4: lam^m / (1 + y)^m
+# = lam^m sum_j C(j + m - 1, m - 1) (-y)^j and log(1 + y) = -sum_j (-y)^j / j,
+# whose power sums over k are Hurwitz zeta values.  At y = 1/4 the first
+# omitted term of the fourth-order sum is ~1e-20 of it.
 _TERMS = 40
 # Up to this many modes the saddlepoint sums every mode as an array: that
 # costs less than building the power sums, and keeps those values' bits.
@@ -279,10 +271,11 @@ def _scaled_zeta(s: np.ndarray, c: float) -> np.ndarray:
 
 
 class _TailSums:
-    """The saddlepoint's sums over the tail-law modes lo + 1..hi, from their
-    power sums sum_{k > n} lam_k^j = p_n^j Z_j(c_n) past n = lo and n = hi:
+    """Sums over the tail-law modes lo + 1..hi, from their power sums
+    sum_{k > n} lam_k^j = p_n^j Z_j(c_n) past n = lo and n = hi:
     p_n = lam_(n + 1), c_n = n + 1 + shift and Z_j(c) = c^(j rho)
-    zeta(j rho, c), so that y = 2 v p_n <= 1/4 keeps every term finite."""
+    zeta(j rho, c), so that y = 2 v p_n <= 1/4 keeps every term finite.
+    ``z_hi`` is Z_j(c_hi), j = 1.._TERMS + 3: zero at hi = inf, as is p_hi."""
 
     def __init__(self, tail: SpectralTail, lo: int, hi: int, z_hi: np.ndarray):
         self.p = np.array([tail.values(lo + 1.0), tail.values(hi + 1.0)])[:, None]
@@ -466,8 +459,8 @@ def l2_smallball(spectrum: EigenSpectrum, eps: float) -> float:
     inversion runs on all the modes instead.  A saddle short of modes at the
     cap warns.
     """
-    if not (eps > 0.0):
-        raise SpecError(f"radius must be > 0, got {eps}")
+    if not (0.0 < eps < math.inf):
+        raise SpecError(f"radius must be finite and > 0, got {eps}")
     x = eps * eps
     route, count = _l2_route(spectrum, x)
     tail = spectrum.tail

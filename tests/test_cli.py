@@ -1,12 +1,15 @@
 """Config-driven entry point: artifacts, overrides, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
 import smallball
 from smallball import cli
@@ -356,6 +359,41 @@ def test_byte_identical_across_runs_and_threads(tmp_path, monkeypatch):
     monkeypatch.setenv("SMALLBALL_THREADS", "4")
     assert cli.main(["smallball", "--config", cfg, "--out", str(b)]) == 0
     assert (a / "smallball.csv").read_bytes() == (b / "smallball.csv").read_bytes()
+
+
+# sha256 of the verify-all artifacts at the default seed, whole and line by
+# line, and the numpy and scipy versions they hold under; a change that moves
+# a value on purpose declares it and records the new digests of _digests
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+
+
+def _digests(data: bytes) -> dict:
+    return {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "lines": [hashlib.sha256(ln).hexdigest() for ln in data.splitlines()],
+    }
+
+
+def test_verify_all_artifacts_match_golden_digests(tmp_path):
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    versions = (np.__version__, scipy.__version__)
+    if versions != (golden["numpy"], golden["scipy"]):
+        pytest.skip(
+            f"golden digests hold under numpy {golden['numpy']} and scipy "
+            f"{golden['scipy']}, not numpy {versions[0]} and scipy {versions[1]}"
+        )
+    assert cli.main(["verify-all", "--out", str(tmp_path)]) == 0
+    for name, want in golden["verify-all"].items():
+        data = (tmp_path / name).read_bytes()
+        got = _digests(data)
+        if got["sha256"] == want["sha256"]:
+            continue
+        lines = data.splitlines()
+        pairs = list(zip(got["lines"], want["lines"]))
+        first = next((i for i, (a, b) in enumerate(pairs) if a != b), len(pairs))
+        shown = lines[first].decode() if first < len(lines) else "<end of file>"
+        pytest.fail(f"{name} differs from its golden digest at line {first + 1}: {shown!r}")
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -592,6 +592,13 @@ def test_debruijn_check_grid_range():
         )
 
 
+def test_debruijn_check_rejects_nan_grid():
+    grid = np.geomspace(50.0, 1000.0, 16)
+    grid[3] = math.nan
+    with pytest.raises(SpecError, match="lambda grid"):
+        debruijn_check(brownian_spectrum(256), RateLaw(0.125, 0.5), lam_grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # reflection series
 

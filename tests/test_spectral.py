@@ -81,6 +81,43 @@ def test_laplace_matches_cosh_identity():
     assert neg_log_laplace(sp, 0.0) == 0.0
 
 
+def _half_log_cosh(a):
+    # 0.5 log cosh a without overflow
+    return 0.5 * (a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0))
+
+
+def _ibm_neg_log_laplace(lam):
+    # prod (1 - z^4 / w_j^4) = (1 + cos z cosh z) / 2 over the clamped-beam
+    # frequencies w_j, at z^4 = -lam^2: (cos^2 a + cosh^2 a) / 2, a = sqrt(lam / 2)
+    a = math.sqrt(0.5 * lam)
+    ratio = math.cos(a) / math.cosh(a)
+    return 2.0 * _half_log_cosh(a) + 0.5 * (math.log1p(ratio * ratio) - math.log(2.0))
+
+
+@pytest.mark.parametrize(
+    "spectrum, exact",
+    [(brownian_spectrum(k), _half_log_cosh) for k in (8, 64, 256, 4096)]
+    + [(integrated_brownian_spectrum(k), _ibm_neg_log_laplace) for k in (16, 256)],
+)
+def test_laplace_matches_exact_oracles(spectrum, exact):
+    # the tail-law modes past the head are summed exactly, so every head
+    # size reads the closed form to rounding
+    for lam in np.geomspace(1.0, 1e4, 9).tolist():
+        assert neg_log_laplace(spectrum, lam) == pytest.approx(exact(lam), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_laplace_rejects_bad_lambda(lam):
+    with pytest.raises(SpecError, match="lambda"):
+        neg_log_laplace(brownian_spectrum(64), lam)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_l2_ball_rejects_bad_radius(eps):
+    with pytest.raises(SpecError, match="radius"):
+        l2_smallball(brownian_spectrum(64), eps)
+
+
 def test_laplace_tail_extension_matters():
     # few head modes + exact tail law still nails the closed form
     sp = brownian_spectrum(32)
@@ -445,8 +482,8 @@ def test_spectrum_validation():
 
 
 def test_laplace_grows_head_by_fitted_tail():
-    # no analytic tail: the head is grown by the fitted one, which keeps the
-    # Hurwitz series inside |q| <= 1/2 at large lambda
+    # no analytic tail: the head is grown by the fitted one until its next
+    # mode has lam^2 lam_k <= 1/4 at large lambda
     spec = EigenSpectrum(brownian_spectrum(64).lambdas)
     for lam in (300.0, 1000.0):
         val = neg_log_laplace(spec, lam)
@@ -494,7 +531,7 @@ def test_saddle_kernel_matches_scipy_stats_bitwise():
         assert log_ndtr(v) - (-(v * v) / 2.0 - _LOG_SQRT_2PI) == norm.logcdf(v) - norm.logpdf(v)
 
 
-@pytest.mark.parametrize("lam, ref", [(300.0, "0x1.2b4e8de8068fep+7"), (1000.0, "0x1.f3a746f3f3747p+8")])
+@pytest.mark.parametrize("lam, ref", [(300.0, "0x1.2b4e8de8082cfp+7"), (1000.0, "0x1.f3a746f404125p+8")])
 def test_laplace_materialised_head_is_pinned(lam, ref):
     assert neg_log_laplace(EigenSpectrum(brownian_spectrum(64).lambdas), lam).hex() == ref
 
